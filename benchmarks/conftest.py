@@ -38,8 +38,8 @@ def run_library(
     **config_kwargs,
 ):
     """One simulator run of a profile at the configured scale."""
-    sim = build_library_sim(profile, scale=SCALE, seed=seed, skew=skew, **config_kwargs)
-    return sim.run()
+    kernel = build_library_sim(profile, scale=SCALE, seed=seed, skew=skew, **config_kwargs)
+    return kernel.run()
 
 
 def hours(seconds: float) -> float:

@@ -15,7 +15,7 @@ Reproduce from the command line with the ``chaos`` subcommand, e.g.::
         --shuttle-mtbf 10000 --drive-mtbf 15000 [--no-repair]
 """
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
 from repro.workload.generator import WorkloadGenerator
 
@@ -33,16 +33,16 @@ def _run(schedule, seed=16, read_error_prob=0.02):
         cooldown_hours=0.15,
         fixed_size=20_000_000,
     )
-    sim = LibrarySimulation(
+    kernel = SimKernel(
         SimConfig(
             num_platters=1900,
             seed=seed,
             transient_read_error_prob=read_error_prob,
         )
     )
-    sim.assign_trace(trace, start, end)
-    sim.apply_fault_schedule(schedule)
-    return sim, sim.run()
+    kernel.lifecycle.assign_trace(trace, start, end)
+    kernel.faults.apply_fault_schedule(schedule)
+    return kernel, kernel.run()
 
 
 def _schedule(shuttle_mtbf, drive_mtbf, metadata_mtbf=0.0, seed=16):
@@ -117,7 +117,7 @@ def test_chaos_fault_rate_sweep(once):
 
     results = once(experiment)
     rows = []
-    for label, (sim, report) in results.items():
+    for label, (kernel, report) in results.items():
         res = report.resilience
         rows.append(
             f"{label:9s}: faults {res.faults_injected:3d}   "
@@ -131,7 +131,7 @@ def test_chaos_fault_rate_sweep(once):
         "Extension: chaos fault-rate sweep (repair on)",
         "regime", rows,
     )
-    for label, (sim, report) in results.items():
+    for label, (kernel, report) in results.items():
         res = report.resilience
         # With repair enabled every injected fault returns to service and
         # every request completes, whatever the fault rate.

@@ -9,7 +9,7 @@ striping each set across libraries spreads the same traffic evenly.
 import pytest
 
 from repro.core.deployment_sim import DeploymentConfig, DeploymentSimulation
-from repro.core.simulation import SimConfig
+from repro.core.sim import SimConfig
 from repro.workload.generator import WorkloadGenerator
 
 from conftest import hours, print_series

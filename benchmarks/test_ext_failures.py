@@ -11,7 +11,7 @@ graceful tail growth.
 import pytest
 
 from repro.core.metrics import SLO_SECONDS
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 
 from conftest import hours, print_series
@@ -26,14 +26,14 @@ def _run(failures, seed=16):
         cooldown_hours=0.15,
         fixed_size=20_000_000,
     )
-    sim = LibrarySimulation(SimConfig(num_platters=1900, seed=seed))
-    sim.assign_trace(trace, start, end)
+    kernel = SimKernel(SimConfig(num_platters=1900, seed=seed))
+    kernel.lifecycle.assign_trace(trace, start, end)
     for kind, time, target in failures:
         if kind == "shuttle":
-            sim.schedule_shuttle_failure(time, target)
+            kernel.faults.schedule_shuttle_failure(time, target)
         else:
-            sim.schedule_drive_failure(time, target)
-    return sim, sim.run()
+            kernel.faults.schedule_drive_failure(time, target)
+    return kernel, kernel.run()
 
 
 def test_failure_resilience(once):
@@ -54,15 +54,15 @@ def test_failure_resilience(once):
 
     results = once(experiment)
     rows = []
-    for name, (sim, report) in results.items():
+    for name, (kernel, report) in results.items():
         rows.append(
             f"{name:22s}: tail {hours(report.completions.tail):5.2f} h   "
-            f"unavailable platters {len(sim.unavailable):3d}   "
+            f"unavailable platters {len(kernel.lifecycle.unavailable):3d}   "
             f"completed {report.requests_completed}/{report.requests_submitted}"
         )
     print_series("Extension: dynamic failure resilience", "scenario", rows)
     healthy = results["healthy"][1]
-    for name, (sim, report) in results.items():
+    for name, (kernel, report) in results.items():
         # Nothing is ever lost: every request completes, within SLO.
         assert report.requests_completed == report.requests_submitted, name
         assert report.completions.tail < SLO_SECONDS, name

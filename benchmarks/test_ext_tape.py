@@ -11,7 +11,7 @@ MB/s) is irrelevant on this workload — the paper's core argument.
 import pytest
 
 from repro.core.metrics import SLO_SECONDS
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.core.tape_baseline import TapeConfig, TapeLibrarySimulation
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import IOPS
@@ -28,10 +28,10 @@ def test_tape_vs_silica(once):
     def experiment():
         trace, start, end = _trace()
         results = {}
-        silica = LibrarySimulation(
+        silica = SimKernel(
             SimConfig(num_drives=20, num_shuttles=20, num_platters=SCALE.num_platters, seed=20)
         )
-        silica.assign_trace(trace, start, end)
+        silica.lifecycle.assign_trace(trace, start, end)
         results["silica (20 drives @ 60 MB/s)"] = silica.run().completions
         for drives, robots in ((8, 2), (20, 4), (40, 6)):
             tape = TapeLibrarySimulation(

@@ -30,9 +30,9 @@ WINDOW_HOURS = 6.0 if FULL_SCALE else 1.5
 
 
 def _run_full_library(mbps, seed=12):
-    sim = build_full_library_sim(mbps, WINDOW_HOURS, seed=seed)
-    with PerfCapture(sim.sim) as capture:
-        report = sim.run()
+    kernel = build_full_library_sim(mbps, WINDOW_HOURS, seed=seed)
+    with PerfCapture(kernel.ctx.sim) as capture:
+        report = kernel.run()
     return report, capture.sample
 
 

@@ -10,7 +10,7 @@ the two baselines (SP free-roaming shuttles, NS infinitely fast delivery).
 Run:  python examples/simulate_library.py
 """
 
-from repro.core import LibrarySimulation, SimConfig
+from repro.core import SimConfig, SimKernel
 from repro.core.metrics import SLO_SECONDS
 from repro.workload import ALL_PROFILES, WorkloadGenerator
 
@@ -31,9 +31,9 @@ def run_once(profile, policy="silica", seed=0, **overrides):
     )
     settings.update(overrides)
     config = SimConfig(**settings)
-    simulation = LibrarySimulation(config)
-    simulation.assign_trace(trace, start, end)
-    return simulation.run()
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    return kernel.run()
 
 
 def main() -> None:

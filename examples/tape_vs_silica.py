@@ -11,7 +11,7 @@ same IOPS-dominated trace through both simulators at matched drive counts.
 Run:  python examples/tape_vs_silica.py
 """
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.core.tape_baseline import TapeConfig, TapeLibrarySimulation
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import IOPS
@@ -30,10 +30,10 @@ def main() -> None:
     )
     print(f"workload: {len(trace)} reads over ~1 h (IOPS profile)\n")
 
-    silica = LibrarySimulation(
+    silica = SimKernel(
         SimConfig(num_drives=20, num_shuttles=20, num_platters=1200, seed=8)
     )
-    silica.assign_trace(trace, start, end)
+    silica.lifecycle.assign_trace(trace, start, end)
     silica_report = silica.run()
     print("Silica  (20 drives @  60 MB/s):")
     print(f"  tail {silica_report.completions.tail_hours:6.2f} h   "

@@ -5,7 +5,7 @@ management policies of Section 4.1, the full-system library simulation of
 Section 7, and the metrics it reports.
 """
 
-from .events import Event, Process, Resource, Simulation, SimulationError, drain
+from .events import Event, Simulation, SimulationError
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
     SLO_SECONDS,
@@ -25,7 +25,7 @@ from .replication import ReplicatedMetric, replicate, replicate_tail_hours
 from .requests import SimRequest
 from .scheduler import RequestScheduler
 from .tape_baseline import TapeConfig, TapeLibrarySimulation, TapeReport
-from .sim import LibrarySimulation, SimConfig, SimContext, SimKernel
+from .sim import SimConfig, SimContext, SimKernel
 from .traffic import (
     Partition,
     PartitionedPolicy,
@@ -37,11 +37,8 @@ from .traffic import (
 
 __all__ = [
     "Event",
-    "Process",
-    "Resource",
     "Simulation",
     "SimulationError",
-    "drain",
     "DEFAULT_TIME_BUCKETS",
     "SLO_SECONDS",
     "CompletionStats",
@@ -66,7 +63,6 @@ __all__ = [
     "TapeConfig",
     "TapeLibrarySimulation",
     "TapeReport",
-    "LibrarySimulation",
     "SimConfig",
     "SimContext",
     "SimKernel",

@@ -6,7 +6,7 @@ possible ... because we assign files that we expect to read together to the
 same platter-set, spreading them across libraries leads to better
 load-balancing and higher utilization of libraries at read-time."
 
-:class:`DeploymentSimulation` runs N independent :class:`LibrarySimulation`
+:class:`DeploymentSimulation` runs N independent :class:`SimKernel`
 instances (libraries share no drives or shuttles) and routes a read trace
 to them under one of two placement strategies:
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..workload.traces import ReadRequest, ReadTrace
 from .metrics import CompletionStats, SimulationReport
-from .sim import LibrarySimulation, SimConfig
+from .sim import SimConfig, SimKernel
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class DeploymentSimulation:
         self.config = config or DeploymentConfig()
         cfg = self.config
         self.libraries = [
-            LibrarySimulation(replace(cfg.library, seed=cfg.library.seed + i))
+            SimKernel(replace(cfg.library, seed=cfg.library.seed + i))
             for i in range(cfg.num_libraries)
         ]
         self.rng = np.random.default_rng(cfg.library.seed)
@@ -108,14 +108,16 @@ class DeploymentSimulation:
                 library = (group + position) % cfg.num_libraries
             per_library[library].append(request)
         for library, requests in zip(self.libraries, per_library):
-            library.assign_trace(ReadTrace(requests), measure_start, measure_end)
+            library.lifecycle.assign_trace(
+                ReadTrace(requests), measure_start, measure_end
+            )
 
     def run(self) -> DeploymentReport:
         reports = [library.run() for library in self.libraries]
         times: List[float] = []
         for library in self.libraries:
             times.extend(
-                r.completion_time for r in library.kernel.measured_completed()
+                r.completion_time for r in library.measured_completed()
             )
         return DeploymentReport(
             completions=CompletionStats.from_times(times),

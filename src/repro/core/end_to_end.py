@@ -21,7 +21,7 @@ import numpy as np
 
 from ..decode.pipeline import ClusterConfig, DecodeCluster, DecodeJob, diurnal_price_curve
 from .metrics import SLO_SECONDS, CompletionStats
-from .sim import LibrarySimulation
+from .sim import SimKernel
 
 
 @dataclass
@@ -40,14 +40,14 @@ class EndToEndReport:
 
 
 def compose_with_decode(
-    simulation: LibrarySimulation,
+    kernel: SimKernel,
     sectors_per_track: float = 200.0,
     cluster_config: Optional[ClusterConfig] = None,
     slo_seconds: float = SLO_SECONDS,
     price_amplitude: float = 0.5,
     defer: bool = True,
 ) -> EndToEndReport:
-    """Feed a finished simulation's reads through the decode scheduler.
+    """Feed a finished kernel run's reads through the decode scheduler.
 
     Each completed top-level request becomes one decode job whose work is
     its track count times ``sectors_per_track`` sector-decodes, arriving at
@@ -56,10 +56,10 @@ def compose_with_decode(
     False the cluster decodes on arrival instead of time-shifting to cheap
     hours — higher cost, lower latency (the trade-off of Section 3.2).
     """
-    completed = list(simulation.kernel.measured_completed())
+    completed = list(kernel.measured_completed())
     if not completed:
         raise ValueError("simulation has no measured completed requests")
-    horizon_hours = int(math.ceil(simulation.sim.now / 3600.0)) + int(
+    horizon_hours = int(math.ceil(kernel.ctx.sim.now / 3600.0)) + int(
         slo_seconds // 3600
     ) + 1
     cluster = DecodeCluster(

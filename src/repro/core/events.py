@@ -7,58 +7,27 @@ simulation advances by popping the earliest event.
 
 The engine is deliberately small and deterministic:
 
+* the pending-event set is one binary heap of ``(time, seq, event)``
+  tuples, so ordering compares plain floats/ints at C speed;
 * events with equal timestamps fire in scheduling order (a monotonically
   increasing sequence number breaks ties), so a run is fully reproducible;
-* cancellation is O(1) (lazy deletion via a ``cancelled`` flag);
-* ``Process`` offers a generator-based coroutine layer on top of raw events
-  for entities whose behaviour reads naturally as sequential code (e.g. a
-  shuttle trip: move, pick, move, place).
-
-The pending-event set itself lives behind the :class:`SchedulerBackend`
-protocol (``push``/``pop``/``peek``/``cancel``). Two implementations ship:
-:class:`HeapBackend`, the binary-heap reference, and
-:class:`CalendarQueueBackend`, a self-resizing calendar (bucketed) queue in
-the style of Brown (1988). Both dequeue in exactly ``(time, seq)`` order —
-equal timestamps always land in the same calendar bucket and every bucket
-is itself a ``(time, seq)`` heap — so a run is byte-identical over either
-backend (pinned by the scheduler-equivalence hypothesis suite and the
-golden-replay matrix).
+* cancellation is O(1) (lazy deletion via a ``cancelled`` flag; flagged
+  entries are discarded when they reach the head of the heap).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import sys
 import threading
 from collections import deque
+from heapq import heappop, heappush
 from time import monotonic, perf_counter
 from time import sleep as _wall_sleep
-from typing import (
-    Any,
-    Callable,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
-
-try:  # pragma: no cover - 3.8+ always has typing.Protocol
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised on invalid use of the simulation engine (e.g. past scheduling)."""
-
-
-#: Label suffixes the engine's own machinery appends when scheduling on
-#: behalf of an entity: :class:`Process` completion hops and
-#: :class:`Resource` grant callbacks. The phase profiler attributes any
-#: label carrying one of these (plus unlabeled events) to the "engine"
-#: subsystem in the wall-share table.
-ENGINE_LABEL_SUFFIXES = (":grant", ":late-done")
 
 
 class Event:
@@ -102,362 +71,11 @@ class Event:
         self.cancelled = True
 
 
-#: Queue entries are ``(time, seq, event)`` tuples rather than Event
-#: objects so backend ordering compares plain floats/ints at C speed
-#: instead of calling ``Event.__lt__`` (which dominated the event loop at
-#: ~2.5M calls per fig9 run before the tuple representation).
-QueueEntry = Tuple[float, int, "Event"]
-
-
-class SchedulerBackend(Protocol):
-    """The pending-event set behind :class:`Simulation`.
-
-    A backend is a priority queue over :data:`QueueEntry` tuples with one
-    hard contract: :meth:`pop` dequeues strictly in ``(time, seq)`` order
-    — byte-identical across implementations — because the whole
-    reproducibility story of the twin rests on that total order.
-    Cancellation is lazy (events carry a ``cancelled`` flag); a backend
-    MAY react to :meth:`cancel` eagerly but the reference implementations
-    simply skip flagged entries at dequeue time and count the skips.
-
-    Backends also keep four plain-int counters — ``pushes``, ``pops``,
-    ``cancelled_skips``, ``resizes`` — published by the kernel as the
-    ``sim_engine_*`` gauges. They are pure functions of the schedule/
-    cancel sequence, so they are deterministic under a pinned seed.
-    """
-
-    pushes: int
-    pops: int
-    cancelled_skips: int
-    resizes: int
-
-    def push(self, time: float, seq: int, event: "Event") -> None:
-        """Insert an entry."""
-        ...  # pragma: no cover - protocol
-
-    def pop(self) -> Optional[QueueEntry]:
-        """Remove and return the earliest live entry, or None when empty."""
-        ...  # pragma: no cover - protocol
-
-    def peek(self) -> Optional[float]:
-        """The earliest live entry's time without removing it, or None."""
-        ...  # pragma: no cover - protocol
-
-    def cancel(self, event: "Event") -> None:
-        """Optional eager-cancellation hint (the event is already flagged)."""
-        ...  # pragma: no cover - protocol
-
-    def restore(self, entry: QueueEntry) -> None:
-        """Re-insert an entry just popped (run-loop horizon backtrack)."""
-        ...  # pragma: no cover - protocol
-
-    def __len__(self) -> int:
-        """Entries held, stale (cancelled-but-unskipped) ones included."""
-        ...  # pragma: no cover - protocol
-
-
-class HeapBackend:
-    """The binary-heap reference backend (C-speed ``heapq`` on tuples)."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "pushes", "pops", "cancelled_skips", "resizes")
-
-    def __init__(self) -> None:
-        self._heap: List[QueueEntry] = []
-        self.pushes = 0
-        self.pops = 0
-        self.cancelled_skips = 0
-        #: Heaps never resize; the counter exists for the shared protocol.
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        """Entries held, stale ones included."""
-        return len(self._heap)
-
-    def push(self, time: float, seq: int, event: Event) -> None:
-        """Insert an entry."""
-        self.pushes += 1
-        heapq.heappush(self._heap, (time, seq, event))
-
-    def restore(self, entry: QueueEntry) -> None:
-        """Re-insert a just-popped entry without counting a push."""
-        heapq.heappush(self._heap, entry)
-
-    def pop(self) -> Optional[QueueEntry]:
-        """Earliest live entry (cancelled heads skipped and counted)."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = pop(heap)
-            if entry[2].cancelled:
-                self.cancelled_skips += 1
-                continue
-            self.pops += 1
-            return entry
-        return None
-
-    def peek(self) -> Optional[float]:
-        """Time of the earliest live entry (cancelled heads discarded)."""
-        heap = self._heap
-        while heap:
-            if heap[0][2].cancelled:
-                heapq.heappop(heap)
-                self.cancelled_skips += 1
-                continue
-            return heap[0][0]
-        return None
-
-    def cancel(self, event: Event) -> None:
-        """Lazy backend: nothing to do (the flag is checked at dequeue)."""
-
-
-class CalendarQueueBackend:
-    """A self-resizing calendar queue (Brown 1988) with exact tie order.
-
-    The pending set is a ring of ``nbuckets`` buckets of width ``width``
-    seconds; an entry at time ``t`` lives in bucket ``(t // width) %
-    nbuckets``. Dequeue scans the ring from the last-dequeued time's
-    bucket, taking the first head that falls inside the bucket's current
-    "year" window — O(1) amortized when occupancy is balanced — and falls
-    back to a direct min-scan when a whole year is empty.
-
-    Two choices make the fire order *byte-identical* to the heap
-    reference rather than merely time-ordered:
-
-    * every bucket is itself a ``(time, seq)`` heap, and
-    * equal timestamps always map to the same bucket,
-
-    so the global dequeue order is exactly ``(time, seq)``. The ring
-    doubles when occupancy exceeds :data:`EXPAND_FACTOR` entries per
-    bucket and halves when it drops below 1/:data:`SHRINK_FACTOR`, each
-    time re-deriving the width from the live span (a pure function of
-    content — no clocks, no RNG — so resizing is deterministic too).
-    """
-
-    name = "calendar"
-
-    #: Ring bounds: never fewer than MIN_BUCKETS, never more than
-    #: MAX_BUCKETS (beyond which the O(1) claim stops paying for memory).
-    MIN_BUCKETS = 8
-    MAX_BUCKETS = 32768
-
-    #: Mean entries per bucket that trigger a doubling.
-    EXPAND_FACTOR = 2.0
-    #: Inverse occupancy that triggers a halving (size < nbuckets / 4).
-    SHRINK_FACTOR = 4.0
-
-    __slots__ = (
-        "_buckets",
-        "_nbuckets",
-        "_width",
-        "_size",
-        "_last_time",
-        "pushes",
-        "pops",
-        "cancelled_skips",
-        "resizes",
-    )
-
-    def __init__(self, nbuckets: int = MIN_BUCKETS, width: float = 1.0) -> None:
-        self._nbuckets = max(self.MIN_BUCKETS, int(nbuckets))
-        self._width = float(width)
-        self._buckets: List[List[QueueEntry]] = [
-            [] for _ in range(self._nbuckets)
-        ]
-        self._size = 0
-        self._last_time = 0.0
-        self.pushes = 0
-        self.pops = 0
-        self.cancelled_skips = 0
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        """Entries held, stale ones included."""
-        return self._size
-
-    def push(self, time: float, seq: int, event: Event) -> None:
-        """Insert an entry into its bucket's heap, expanding if crowded."""
-        self.pushes += 1
-        heapq.heappush(
-            self._buckets[int(time / self._width) % self._nbuckets],
-            (time, seq, event),
-        )
-        self._size += 1
-        if time < self._last_time:
-            # The scan invariant is ``_last_time <= min pending time``.
-            # A pop-then-restore at a run horizon advances ``_last_time``
-            # to the restored (future) entry, after which the engine may
-            # legally push an earlier event (sim.now is still behind the
-            # horizon); rewind so the scan starts early enough to see it.
-            self._last_time = time
-        if (
-            self._size > self.EXPAND_FACTOR * self._nbuckets
-            and self._nbuckets < self.MAX_BUCKETS
-        ):
-            self._resize(self._nbuckets * 2)
-
-    def restore(self, entry: QueueEntry) -> None:
-        """Re-insert a just-popped entry without counting a push."""
-        heapq.heappush(
-            self._buckets[int(entry[0] / self._width) % self._nbuckets], entry
-        )
-        self._size += 1
-
-    def pop(self) -> Optional[QueueEntry]:
-        """Earliest live entry (cancelled entries skipped and counted).
-
-        The dequeue scan is inlined rather than delegated to
-        :meth:`_pop_earliest` — this method runs once per event fired, so
-        a second method call per event is measurable engine overhead.
-        """
-        while True:
-            size = self._size
-            if size == 0:
-                return None
-            nbuckets = self._nbuckets
-            width = self._width
-            buckets = self._buckets
-            base = int(self._last_time / width)
-            index = base % nbuckets
-            year_end = (base + 1) * width
-            heappop = heapq.heappop
-            entry: Optional[QueueEntry] = None
-            for _ in range(nbuckets):
-                bucket = buckets[index]
-                if bucket and bucket[0][0] < year_end:
-                    entry = heappop(bucket)
-                    break
-                index += 1
-                if index == nbuckets:
-                    index = 0
-                year_end += width
-            if entry is None:
-                best_bucket = -1
-                best_head: Optional[QueueEntry] = None
-                for i, bucket in enumerate(buckets):
-                    if bucket and (best_head is None or bucket[0] < best_head):
-                        best_head = bucket[0]
-                        best_bucket = i
-                entry = heappop(buckets[best_bucket])
-            self._size = size = size - 1
-            self._last_time = entry[0]
-            if nbuckets > self.MIN_BUCKETS and size * self.SHRINK_FACTOR < nbuckets:
-                self._resize(nbuckets // 2)
-            if entry[2].cancelled:
-                self.cancelled_skips += 1
-                continue
-            self.pops += 1
-            return entry
-
-    def peek(self) -> Optional[float]:
-        """Time of the earliest live entry (cancelled entries discarded)."""
-        while True:
-            entry = self._pop_earliest()
-            if entry is None:
-                return None
-            if entry[2].cancelled:
-                self.cancelled_skips += 1
-                continue
-            self.restore(entry)
-            return entry[0]
-
-    def cancel(self, event: Event) -> None:
-        """Lazy backend: nothing to do (the flag is checked at dequeue)."""
-
-    def _pop_earliest(self) -> Optional[QueueEntry]:
-        """Remove the globally earliest entry, cancelled or not.
-
-        The calendar scan: starting at the last-dequeued time's bucket,
-        take the first bucket head inside its year window. Because the
-        simulation clock is monotonic (``last_time`` never exceeds any
-        pending entry), buckets visited in ring order cover strictly
-        increasing time windows, so the first qualifying head is the
-        global ``(time, seq)`` minimum. An empty full cycle (everything
-        more than a year out) falls back to a direct min-scan.
-        """
-        size = self._size
-        if size == 0:
-            return None
-        nbuckets = self._nbuckets
-        width = self._width
-        buckets = self._buckets
-        base = int(self._last_time / width)
-        index = base % nbuckets
-        year_end = (base + 1) * width
-        heappop = heapq.heappop
-        entry: Optional[QueueEntry] = None
-        for _ in range(nbuckets):
-            bucket = buckets[index]
-            if bucket and bucket[0][0] < year_end:
-                entry = heappop(bucket)
-                break
-            index += 1
-            if index == nbuckets:
-                index = 0
-            year_end += width
-        if entry is None:
-            best_bucket = -1
-            best_head: Optional[QueueEntry] = None
-            for i, bucket in enumerate(buckets):
-                if bucket and (best_head is None or bucket[0] < best_head):
-                    best_head = bucket[0]
-                    best_bucket = i
-            entry = heappop(buckets[best_bucket])
-        # Removal bookkeeping, inlined (this runs once per dequeue):
-        # advance the scan clock and shrink a mostly-empty ring.
-        self._size = size = size - 1
-        self._last_time = entry[0]
-        if nbuckets > self.MIN_BUCKETS and size * self.SHRINK_FACTOR < nbuckets:
-            self._resize(nbuckets // 2)
-        return entry
-
-    def _resize(self, nbuckets: int) -> None:
-        """Rebuild the ring with ``nbuckets`` buckets and a re-derived width.
-
-        The new width targets :data:`EXPAND_FACTOR`/2 entries per bucket
-        over the live span of pending times — computed from queue content
-        only, so a resize at the same point of two matched runs lands on
-        the same geometry.
-        """
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self.resizes += 1
-        self._nbuckets = nbuckets
-        if len(entries) >= 2:
-            lo = min(entry[0] for entry in entries)
-            hi = max(entry[0] for entry in entries)
-            span = hi - lo
-            if span > 0.0:
-                self._width = max(span / len(entries), 1e-9)
-        buckets: List[List[QueueEntry]] = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            buckets[int(entry[0] / width) % nbuckets].append(entry)
-        for bucket in buckets:
-            heapq.heapify(bucket)
-        self._buckets = buckets
-
-
-#: Backend registry behind ``SimConfig.event_scheduler`` /
-#: ``Simulation(scheduler=...)``.
-SCHEDULER_BACKENDS = {
-    "heap": HeapBackend,
-    "calendar": CalendarQueueBackend,
-}
-
-
-#: Backend used when neither ``Simulation(scheduler=...)`` nor
-#: ``SimConfig.event_scheduler`` picks one. Both backends dequeue in the
-#: same exact ``(time, seq)`` order (pinned by the equivalence suites), so
-#: this is a pure wall-time choice — and measurement keeps it on the heap:
-#: CPython's C-implemented ``heapq`` beats the pure-Python calendar scan
-#: at every pending-set size the library reaches (see the
-#: ``engine_scale_sweep`` bench curve), because the calendar's O(1)
-#: amortized hop costs interpreted bytecode while the heap's O(log n)
-#: sift runs in C. The calendar backend stays as the escape hatch for
-#: workloads with huge pending sets and as the protocol's second,
-#: equivalence-tested implementation.
-DEFAULT_SCHEDULER = "heap"
+#: Heap entries are ``(time, seq, event)`` tuples rather than Event objects
+#: so heap ordering compares plain floats/ints at C speed instead of calling
+#: ``Event.__lt__`` (which dominated the event loop at ~2.5M calls per fig9
+#: run before the tuple representation).
+QueueEntry = Tuple[float, int, Event]
 
 
 class Simulation:
@@ -468,29 +86,15 @@ class Simulation:
         sim = Simulation()
         sim.schedule(5.0, lambda: print("five seconds in"))
         sim.run()
-
-    ``scheduler`` names the :data:`SCHEDULER_BACKENDS` entry holding the
-    pending-event set (default :data:`DEFAULT_SCHEDULER`); every backend
-    fires events in identical order, so the choice affects wall time only.
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = DEFAULT_SCHEDULER
-        try:
-            backend_cls = SCHEDULER_BACKENDS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown event scheduler {scheduler!r} "
-                f"(choose from {sorted(SCHEDULER_BACKENDS)})"
-            ) from None
-        self._backend: SchedulerBackend = backend_cls()
-        # Bound-method shortcut: ``schedule`` runs once per event created,
-        # so the extra ``_backend.push`` attribute hop is worth skipping.
-        self._push = self._backend.push
-        self._seq = itertools.count()
+    def __init__(self) -> None:
+        self._heap: List[QueueEntry] = []
         self._now = 0.0
         self._running = False
+        #: Events scheduled so far; also the next event's sequence number.
+        self._pushes = 0
+        self._cancelled_skips = 0
         self._events_processed = 0
         self._run_wall_seconds = 0.0
         #: Optional wall-clock observer hook ``(label, wall_seconds) -> None``
@@ -530,32 +134,24 @@ class Simulation:
         return self._events_processed / self._run_wall_seconds
 
     @property
-    def scheduler(self) -> str:
-        """Name of the active scheduler backend (``heap``/``calendar``)."""
-        return self._backend.name  # type: ignore[attr-defined]
-
-    @property
     def pending(self) -> int:
-        """Entries in the backend, stale (cancelled-unskipped) included."""
-        return len(self._backend)
+        """Entries in the heap, stale (cancelled-unskipped) included."""
+        return len(self._heap)
 
     @property
     def scheduler_stats(self) -> dict:
-        """Engine counters from the scheduler backend.
+        """Engine counters of the pending-event heap.
 
-        ``pushes``/``pops`` count live insertions and dequeues,
-        ``cancelled_skips`` counts flagged entries discarded at dequeue
-        time, and ``resizes`` counts calendar ring rebuilds (always zero
-        for the heap). All four are deterministic under a pinned seed —
-        they are published as the ``sim_engine_*`` gauges.
+        ``pushes`` counts events scheduled, ``pops`` counts events dequeued
+        and fired (always equal to :attr:`events_processed`), and
+        ``cancelled_skips`` counts flagged entries discarded at the head.
+        All three are deterministic under a pinned seed — they are
+        published as the ``sim_engine_*`` gauges.
         """
-        backend = self._backend
         return {
-            "backend": backend.name,  # type: ignore[attr-defined]
-            "pushes": backend.pushes,
-            "pops": backend.pops,
-            "cancelled_skips": backend.cancelled_skips,
-            "resizes": backend.resizes,
+            "pushes": self._pushes,
+            "pops": self._events_processed,
+            "cancelled_skips": self._cancelled_skips,
         }
 
     def schedule(
@@ -570,8 +166,10 @@ class Simulation:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self._now + delay
-        event = Event(time, next(self._seq), callback, label)
-        self._push(time, event.seq, event)
+        seq = self._pushes
+        self._pushes = seq + 1
+        event = Event(time, seq, callback, label)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(
@@ -633,23 +231,33 @@ class Simulation:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        return self._backend.peek()
+        heap = self._heap
+        while heap:
+            if heap[0][2].cancelled:
+                heappop(heap)
+                self._cancelled_skips += 1
+                continue
+            return heap[0][0]
+        return None
 
     def step(self) -> bool:
         """Run the next event. Returns False if the queue is empty."""
-        entry = self._backend.pop()
-        if entry is None:
-            return False
-        time, _seq, event = entry
-        self._now = time
-        self._events_processed += 1
-        if self.observer is None:
-            event.callback()
-        else:
-            start = perf_counter()
-            event.callback()
-            self.observer(event.label, perf_counter() - start)
-        return True
+        heap = self._heap
+        while heap:
+            time, _seq, event = heappop(heap)
+            if event.cancelled:
+                self._cancelled_skips += 1
+                continue
+            self._now = time
+            self._events_processed += 1
+            if self.observer is None:
+                event.callback()
+            else:
+                start = perf_counter()
+                event.callback()
+                self.observer(event.label, perf_counter() - start)
+            return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -663,55 +271,34 @@ class Simulation:
         self._running = True
         processed = 0
         loop_start = perf_counter()
-        # The loop body is inlined (rather than peek()+step()) and binds the
-        # backend's pop locally: this loop fires every event in a run, so
-        # per-event attribute lookups are the engine's own overhead floor.
-        # The ``until`` horizon is enforced by pop-then-restore — one extra
-        # backend call per run() instead of a peek per event.
-        backend = self._backend
-        pop = backend.pop
+        # This loop fires every event of a run, so the heap and hooks are
+        # bound to locals. The ``until`` horizon is enforced by
+        # pop-then-push-back: one extra heap operation per run() instead
+        # of a head check per event.
+        heap = self._heap
+        horizon = float("inf") if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
         sampler = self._sampler
         observer = self.observer
         try:
-            if max_events is None and observer is None:
-                # The common shape (bench clean reps, full twin runs):
-                # no event cap, no per-event timing. Dropping those two
-                # checks and the tuple unpack from the loop is worth a few
-                # percent of total run time at fig9 scale.
-                while True:
-                    entry = pop()
-                    if entry is None:
-                        break
-                    time = entry[0]
-                    if until is not None and time > until:
-                        backend.restore(entry)
-                        break
-                    if sampler is not None and sampler[0] <= time:
-                        sampler = self._fire_samples(sampler, time)
-                    self._now = time
-                    processed += 1
-                    entry[2].callback()
-            else:
-                while True:
-                    if max_events is not None and processed >= max_events:
-                        break
-                    entry = pop()
-                    if entry is None:
-                        break
-                    if until is not None and entry[0] > until:
-                        backend.restore(entry)
-                        break
-                    time, _seq, event = entry
-                    if sampler is not None and sampler[0] <= time:
-                        sampler = self._fire_samples(sampler, time)
-                    self._now = time
-                    processed += 1
-                    if observer is None:
-                        event.callback()
-                    else:
-                        start = perf_counter()
-                        event.callback()
-                        observer(event.label, perf_counter() - start)
+            while heap and processed < limit:
+                time, seq, event = heappop(heap)
+                if event.cancelled:
+                    self._cancelled_skips += 1
+                    continue
+                if time > horizon:
+                    heappush(heap, (time, seq, event))
+                    break
+                if sampler is not None and sampler[0] <= time:
+                    sampler = self._fire_samples(sampler, time)
+                self._now = time
+                processed += 1
+                if observer is None:
+                    event.callback()
+                else:
+                    start = perf_counter()
+                    event.callback()
+                    observer(event.label, perf_counter() - start)
         finally:
             self._running = False
             self._events_processed += processed
@@ -723,75 +310,6 @@ class Simulation:
             if sampler is not None:
                 self._fire_samples(sampler, until)
             self._now = until
-
-    def process(self, generator: Generator[float, None, None], label: str = "") -> "Process":
-        """Start a coroutine-style process (see :class:`Process`)."""
-        return Process(self, generator, label)
-
-
-class Process:
-    """Generator-driven sequential activity on top of the event queue.
-
-    The generator yields delays (seconds); the process resumes after each
-    delay. A process finishes when the generator returns. ``on_done``
-    callbacks fire at completion time::
-
-        def trip(sim):
-            yield 2.0   # travel
-            yield 0.6   # pick
-            yield 2.0   # travel back
-
-        Process(sim, trip(sim)).on_done(lambda: print("done"))
-    """
-
-    def __init__(self, sim: Simulation, generator: Generator[float, None, None], label: str = "") -> None:
-        self.sim = sim
-        self.label = label
-        self._generator = generator
-        self._done = False
-        self._done_callbacks: List[Callable[[], None]] = []
-        self._pending: Optional[Event] = None
-        self._cancelled = False
-        # Kick off on the next zero-delay tick so construction never runs
-        # user code synchronously.
-        self._pending = sim.schedule(0.0, self._advance, label=label)
-
-    @property
-    def done(self) -> bool:
-        """True once the generator has finished (or the process was cancelled)."""
-        return self._done
-
-    def on_done(self, callback: Callable[[], None]) -> "Process":
-        """Register ``callback`` to run when the process completes.
-
-        If the process already completed, the callback fires on the next tick.
-        """
-        if self._done:
-            self.sim.schedule(0.0, callback, label=f"{self.label}:late-done")
-        else:
-            self._done_callbacks.append(callback)
-        return self
-
-    def cancel(self) -> None:
-        """Stop the process; no further steps or done-callbacks run."""
-        self._cancelled = True
-        if self._pending is not None:
-            self._pending.cancel()
-        self._done = True
-
-    def _advance(self) -> None:
-        """Resume the generator once, scheduling the next step or finishing."""
-        if self._cancelled:
-            return
-        try:
-            delay = next(self._generator)
-        except StopIteration:
-            self._done = True
-            self._pending = None
-            for callback in self._done_callbacks:
-                callback()
-            return
-        self._pending = self.sim.schedule(float(delay), self._advance, label=self.label)
 
 
 class PacedEngine:
@@ -981,67 +499,3 @@ class PacedEngine:
                 self._sleep(self.frame_wall_seconds)
             self.advance_to(horizon * frame / count)
             yield frame, self.sim.now
-
-
-def drain(sim: Simulation, limit: int = 10_000_000) -> int:
-    """Run ``sim`` until its queue is empty; return events processed.
-
-    ``limit`` guards against accidental infinite event loops in tests.
-    """
-    count = 0
-    while sim.step():
-        count += 1
-        if count >= limit:
-            raise SimulationError(f"simulation did not drain within {limit} events")
-    return count
-
-
-class Resource:
-    """A counted resource with FIFO waiters (e.g. drive slots).
-
-    ``acquire(callback)`` runs the callback immediately (via a zero-delay
-    event) if capacity is available, otherwise queues it. ``release()`` hands
-    the slot to the next waiter.
-    """
-
-    def __init__(self, sim: Simulation, capacity: int, name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: List[Callable[[], None]] = []
-
-    @property
-    def in_use(self) -> int:
-        """Slots currently held."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Slots free to grant right now."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Callbacks waiting for a slot."""
-        return len(self._waiters)
-
-    def acquire(self, callback: Callable[[], None]) -> None:
-        """Grant a slot to ``callback`` now (zero-delay event) or enqueue it."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.sim.schedule(0.0, callback, label=f"{self.name}:grant")
-        else:
-            self._waiters.append(callback)
-
-    def release(self) -> None:
-        """Free a slot, handing it to the next FIFO waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"{self.name}: release without acquire")
-        if self._waiters:
-            callback = self._waiters.pop(0)
-            self.sim.schedule(0.0, callback, label=f"{self.name}:grant")
-        else:
-            self._in_use -= 1

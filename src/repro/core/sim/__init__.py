@@ -1,7 +1,7 @@
 """The composable library-simulation kernel (``repro.core.sim``).
 
-The monolithic ``LibrarySimulation`` god class is decomposed into five
-subsystems composed over one :class:`~repro.core.sim.context.SimContext`:
+One Silica library is simulated by five subsystems composed over one
+:class:`~repro.core.sim.context.SimContext`:
 
 - :mod:`~repro.core.sim.robotics` — drives, shuttles, moves, mounts,
   recharge (the mechanical plant);
@@ -14,10 +14,14 @@ subsystems composed over one :class:`~repro.core.sim.context.SimContext`:
   return-to-service;
 - :mod:`~repro.core.sim.verification` — the fluid read-back queue.
 
-:class:`~repro.core.sim.kernel.SimKernel` wires them together;
-:class:`~repro.core.sim.facade.LibrarySimulation` is the thin
-backwards-compatible facade every existing call site keeps using. The
-kernel is the bottom of the simulator stack: it never imports
+:class:`~repro.core.sim.kernel.SimKernel` wires them together and is
+the one way to build and run a library::
+
+    kernel = SimKernel(SimConfig(num_shuttles=20))
+    kernel.lifecycle.assign_trace(trace, measure_start, measure_end)
+    report = kernel.run()
+
+The kernel is the bottom of the simulator stack: it never imports
 ``repro.tenancy`` / ``repro.faults`` / ``repro.observability`` /
 ``repro.service`` — those layers plug in through the protocols in
 :mod:`~repro.core.sim.hooks` (enforced by ``tools/check_layers.py``).
@@ -32,7 +36,6 @@ from .dispatch import (
     SilicaDispatch,
     dispatch_policy_for,
 )
-from .facade import LibrarySimulation
 from .faults import FaultSubsystem
 from .hooks import (
     AdmissionLike,
@@ -58,7 +61,6 @@ __all__ = [
     "FaultScheduleLike",
     "FaultSubsystem",
     "FetchPolicyLike",
-    "LibrarySimulation",
     "NoShuttleDispatch",
     "RequestLifecycle",
     "RoboticsSubsystem",

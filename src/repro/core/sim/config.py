@@ -68,12 +68,6 @@ class SimConfig:
     # with the incremental one (pinned by the golden-replay suite) and kept
     # for differential testing.
     incremental_dispatch: bool = True
-    # Event-scheduler backend behind the engine's pending-event set
-    # ("heap" | "calendar"). Both fire events in exactly the same
-    # ``(time, seq)`` order (pinned by the scheduler-equivalence suites),
-    # so this is purely a wall-time knob; None defers to the engine's
-    # ``DEFAULT_SCHEDULER``.
-    event_scheduler: Optional[str] = None
     # Fine-grained shuttle motion: True (the default) schedules every trip
     # hop (move/pick/move/place) as its own event; False collapses each
     # trip into one closed-form completion event. Coarse trips draw RNG in
@@ -89,8 +83,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.policy not in ("silica", "sp", "ns"):
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.event_scheduler not in (None, "heap", "calendar"):
-            raise ValueError(f"unknown event scheduler {self.event_scheduler!r}")
         if self.fetch_policy not in ("arrival", "deadline"):
             raise ValueError(f"unknown fetch policy {self.fetch_policy!r}")
         if self.fetch_policy == "deadline" and self.tenancy is None:

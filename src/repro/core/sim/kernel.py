@@ -3,10 +3,11 @@
 :class:`SimKernel` builds the context and the five subsystems in a fixed
 order (the order is load-bearing: it preserves the RNG draw sequence of
 the original monolithic simulator, keeping matched-seed runs byte-exact),
-wires their cross-references, and owns the run/report surface. The
-:class:`~repro.core.sim.facade.LibrarySimulation` facade delegates here;
-tools that don't need the legacy attribute surface (worker processes,
-golden-replay tests) can drive the kernel directly.
+wires their cross-references, and owns the run/report surface. It is
+the one entry point for building and running a library: callers reach
+state through the subsystems (``kernel.lifecycle``, ``kernel.faults``,
+``kernel.robotics``, ...) and the shared context (``kernel.ctx.sim``,
+``kernel.ctx.metrics``, ``kernel.ctx.counters``).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .verification import VERIFICATION_EVENT_LABELS, VerificationSubsystem
 #: Subsystem -> event labels it schedules, aggregated from the constants
 #: each subsystem module keeps beside its ``schedule`` calls. This is the
 #: kernel's authoritative map for wall-clock subsystem attribution
-#: (:class:`repro.observability.profiler.PhaseProfiler`); labels not in
-#: any set — engine machinery (``:grant``/``:late-done``), bench ticks,
-#: unlabeled callbacks — fall to the profiler's "engine" bucket.
+#: (:class:`repro.observability.profiler.PhaseProfiler`); unlabeled
+#: callbacks fall to the profiler's "engine" bucket and any other label
+#: (e.g. bench ticks) to "other".
 SUBSYSTEM_LABELS: Dict[str, FrozenSet[str]] = {
     "dispatch": DISPATCH_EVENT_LABELS,
     "motion": MOTION_EVENT_LABELS,
@@ -248,20 +249,15 @@ class SimKernel:
             "energy_per_platter_op", "Shuttle energy per platter operation", unit="joules"
         ).set(shuttle_metrics.energy_per_platter_op)
         # Engine counters: deterministic under a pinned seed (pure functions
-        # of the schedule/cancel sequence), so they ride the EXACT gates.
+        # of the schedule/cancel sequence).
         engine = ctx.sim.scheduler_stats
-        m.gauge("engine_pushes", "Events pushed into the scheduler backend").set(
+        m.gauge("engine_pushes", "Events pushed onto the event heap").set(
             engine["pushes"]
         )
-        m.gauge("engine_pops", "Live events dequeued by the scheduler backend").set(
-            engine["pops"]
-        )
+        m.gauge("engine_pops", "Live events dequeued and fired").set(engine["pops"])
         m.gauge(
             "engine_cancelled_skips", "Cancelled entries discarded at dequeue"
         ).set(engine["cancelled_skips"])
-        m.gauge("engine_resizes", "Calendar-queue ring rebuilds (0 for heap)").set(
-            engine["resizes"]
-        )
         qos = None
         if self.config.tenancy is not None:
             admission = self.lifecycle.admission

@@ -19,7 +19,7 @@ the digital twin:
   repair-disabled twin (same fault instants, infinite repair), which is
   the ablation the chaos benchmark sweeps against.
 
-The schedule is pure data; :meth:`repro.core.sim.LibrarySimulation.
+The schedule is pure data; :meth:`repro.core.sim.FaultSubsystem.
 apply_fault_schedule` turns it into simulator events.
 
 On top of the per-component machinery, :class:`FleetFaultSchedule` scopes

@@ -11,8 +11,8 @@ single ``is None`` check per event.
 Usage::
 
     profiler = WallClockProfiler()
-    profiler.install(sim.sim)      # or Simulation(observer=profiler.observe)
-    sim.run()
+    profiler.install(kernel.ctx.sim)
+    kernel.run()
     print(profiler.format(top=10))
 
 Units: all durations are wall-clock **seconds** (``time.perf_counter``).
@@ -32,8 +32,6 @@ from typing import (
     Optional,
     Tuple,
 )
-
-from ..core.events import ENGINE_LABEL_SUFFIXES
 
 
 class WallClockProfiler:
@@ -134,8 +132,7 @@ class PhaseProfiler(WallClockProfiler):
       the kernel's subsystem buckets (engine / dispatch / motion /
       robotics / lifecycle / faults / verification) using the label sets
       each ``core.sim`` module keeps beside its ``schedule`` calls,
-      aggregated as :data:`repro.core.sim.SUBSYSTEM_LABELS`, plus the
-      engine's own :data:`~repro.core.events.ENGINE_LABEL_SUFFIXES`.
+      aggregated as :data:`repro.core.sim.SUBSYSTEM_LABELS`.
       :meth:`subsystem_table` is the per-subsystem wall-share table; its
       shares are computed over total callback time, so they sum to 1.0
       and the "dispatch" row equals the dispatch label share PR 7's CI
@@ -171,17 +168,15 @@ class PhaseProfiler(WallClockProfiler):
     def classify(self, label: str) -> str:
         """Subsystem name for one event label.
 
-        Engine machinery — resource grants and process completion hops
-        (the :data:`~repro.core.events.ENGINE_LABEL_SUFFIXES`) and
-        unlabeled callbacks — is the "engine" bucket, the event loop's
-        own overhead floor. Labels no subsystem claims (e.g. bench
+        Unlabeled callbacks are the "engine" bucket, the event loop's own
+        overhead floor. Labels no subsystem claims (e.g. bench
         harness ticks) fall to "other" so a mapping gap is visible
         instead of silently inflating a real subsystem.
         """
         subsystem = self._label_to_subsystem.get(label)
         if subsystem is not None:
             return subsystem
-        if not label or label.endswith(ENGINE_LABEL_SUFFIXES):
+        if not label:
             return "engine"
         return "other"
 

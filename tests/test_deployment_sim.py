@@ -6,7 +6,7 @@ from repro.core.deployment_sim import (
     DeploymentConfig,
     DeploymentSimulation,
 )
-from repro.core.simulation import SimConfig
+from repro.core.sim import SimConfig
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -51,7 +51,7 @@ class TestRouting:
         )
         deployment.route_trace(trace, start, end)
         routed = sum(
-            sum(1 for r in lib.all_requests if r.parent is None)
+            sum(1 for r in lib.lifecycle.all_requests if r.parent is None)
             for lib in deployment.libraries
         )
         assert routed == len(trace)

@@ -28,7 +28,7 @@ These tests pin that contract three ways:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
 from repro.workload.generator import WorkloadGenerator
 
@@ -66,12 +66,12 @@ def _recorded_run(policy, seed, rate, incremental, faults=False):
         incremental_dispatch=incremental,
     )
     trace, start, end = _trace(rate, seed)
-    sim = LibrarySimulation(config)
-    sim.assign_trace(trace, start, end)
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end)
     if faults:
-        sim.apply_fault_schedule(_chaos_schedule(config, seed))
-    robotics = sim.kernel.robotics
-    engine = sim.sim
+        kernel.faults.apply_fault_schedule(_chaos_schedule(config, seed))
+    robotics = kernel.robotics
+    engine = kernel.ctx.sim
     log = []
     orig_fetch = robotics.start_fetch
     orig_return = robotics.start_return
@@ -92,12 +92,12 @@ def _recorded_run(policy, seed, rate, incremental, faults=False):
 
     robotics.start_fetch = start_fetch
     robotics.start_return = start_return
-    report = sim.run()
-    return sim, log, report.as_dict()
+    report = kernel.run()
+    return kernel, log, report.as_dict()
 
 
 def _assert_modes_identical(policy, seed, rate, faults=False):
-    sim_inc, log_inc, report_inc = _recorded_run(
+    kernel_inc, log_inc, report_inc = _recorded_run(
         policy, seed, rate, incremental=True, faults=faults
     )
     _, log_ref, report_ref = _recorded_run(
@@ -105,7 +105,7 @@ def _assert_modes_identical(policy, seed, rate, faults=False):
     )
     assert log_inc == log_ref
     assert report_inc == report_ref
-    return sim_inc
+    return kernel_inc
 
 
 interleaving = st.fixed_dictionaries(
@@ -141,16 +141,16 @@ def test_cover_change_mid_service_keeps_heaps_fresh():
     scenario — it asserts shuttle faults fired and repairs happened — and
     still match the rescan byte for byte.
     """
-    sim = _assert_modes_identical("silica", seed=17, rate=0.9, faults=True)
-    counters = sim.kernel.ctx.counters
+    kernel = _assert_modes_identical("silica", seed=17, rate=0.9, faults=True)
+    counters = kernel.ctx.counters
     assert counters.faults_injected.value > 0
     assert counters.faults_repaired.value > 0
 
 
 def test_free_partition_set_matches_recompute():
     """The maintained free set / owner refcounts equal a fresh recompute."""
-    sim, _, _ = _recorded_run("silica", seed=3, rate=0.8, incremental=True)
-    dispatch = sim.kernel.dispatch
+    kernel, _, _ = _recorded_run("silica", seed=3, rate=0.8, incremental=True)
+    dispatch = kernel.dispatch
     maintained = set(dispatch.free_partitions())
     expected = set()
     owners = {}
@@ -168,7 +168,7 @@ def test_free_partition_set_matches_recompute():
 
 def test_short_circuit_counter_only_counts_incremental_fast_path():
     """The short-circuit counter stays zero on the rescan reference."""
-    sim_inc, _, _ = _recorded_run("silica", seed=5, rate=0.4, incremental=True)
-    sim_ref, _, _ = _recorded_run("silica", seed=5, rate=0.4, incremental=False)
-    assert sim_inc.kernel.ctx.counters.dispatch_short_circuits.value > 0
-    assert sim_ref.kernel.ctx.counters.dispatch_short_circuits.value == 0
+    kernel_inc, _, _ = _recorded_run("silica", seed=5, rate=0.4, incremental=True)
+    kernel_ref, _, _ = _recorded_run("silica", seed=5, rate=0.4, incremental=False)
+    assert kernel_inc.ctx.counters.dispatch_short_circuits.value > 0
+    assert kernel_ref.ctx.counters.dispatch_short_circuits.value == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.end_to_end import compose_with_decode
 from repro.core.metrics import SLO_SECONDS
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -18,10 +18,10 @@ def finished_simulation():
         cooldown_hours=0.1,
         fixed_size=20_000_000,
     )
-    sim = LibrarySimulation(SimConfig(num_platters=400, seed=80))
-    sim.assign_trace(trace, start, end)
-    sim.run()
-    return sim
+    kernel = SimKernel(SimConfig(num_platters=400, seed=80))
+    kernel.lifecycle.assign_trace(trace, start, end)
+    kernel.run()
+    return kernel
 
 
 class TestComposition:
@@ -53,13 +53,13 @@ class TestComposition:
         assert report.decode_cost > 0
 
     def test_empty_simulation_rejected(self):
-        sim = LibrarySimulation(SimConfig(num_platters=50, seed=81))
+        kernel = SimKernel(SimConfig(num_platters=50, seed=81))
         from repro.workload.traces import ReadTrace
 
-        sim.assign_trace(ReadTrace([]), 0.0, 1.0)
-        sim.run()
+        kernel.lifecycle.assign_trace(ReadTrace([]), 0.0, 1.0)
+        kernel.run()
         with pytest.raises(ValueError):
-            compose_with_decode(sim)
+            compose_with_decode(kernel)
 
     def test_bigger_files_cost_more_decode(self, finished_simulation):
         cheap = compose_with_decode(finished_simulation, sectors_per_track=50.0)

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.events import (
-    Process,
-    Resource,
-    Simulation,
-    SimulationError,
-    drain,
-)
+from repro.core.events import Simulation, SimulationError
 
 
 class TestScheduling:
@@ -21,7 +15,7 @@ class TestScheduling:
         sim.schedule(3.0, lambda: fired.append("c"))
         sim.schedule(1.0, lambda: fired.append("a"))
         sim.schedule(2.0, lambda: fired.append("b"))
-        drain(sim)
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_equal_times_fire_in_schedule_order(self):
@@ -29,14 +23,14 @@ class TestScheduling:
         fired = []
         for name in "abcde":
             sim.schedule(1.0, lambda n=name: fired.append(n))
-        drain(sim)
+        sim.run()
         assert fired == list("abcde")
 
     def test_clock_advances_to_event_time(self):
         sim = Simulation()
         seen = []
         sim.schedule(5.5, lambda: seen.append(sim.now))
-        drain(sim)
+        sim.run()
         assert seen == [5.5]
         assert sim.now == 5.5
 
@@ -49,7 +43,7 @@ class TestScheduling:
         sim = Simulation()
         seen = []
         sim.schedule_at(7.0, lambda: seen.append(sim.now))
-        drain(sim)
+        sim.run()
         assert seen == [7.0]
 
     def test_nested_scheduling(self):
@@ -61,14 +55,14 @@ class TestScheduling:
             sim.schedule(2.0, lambda: fired.append(("inner", sim.now)))
 
         sim.schedule(1.0, outer)
-        drain(sim)
+        sim.run()
         assert fired == [("outer", 1.0), ("inner", 3.0)]
 
     def test_events_processed_counter(self):
         sim = Simulation()
         for _ in range(4):
             sim.schedule(1.0, lambda: None)
-        drain(sim)
+        sim.run()
         assert sim.events_processed == 4
 
     def test_loop_throughput_tracked_by_run(self):
@@ -97,7 +91,7 @@ class TestCancellation:
         fired = []
         event = sim.schedule(1.0, lambda: fired.append(1))
         event.cancel()
-        drain(sim)
+        sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
@@ -105,7 +99,7 @@ class TestCancellation:
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
         event.cancel()
-        drain(sim)
+        sim.run()
 
     def test_peek_skips_cancelled(self):
         sim = Simulation()
@@ -156,112 +150,36 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_drain_limit_detects_runaway(self):
+
+class TestEngineCounters:
+    def test_pops_equal_events_fired_across_run_slices(self):
+        """``pops`` counts fired events, not entries popped at a horizon.
+
+        Each ``run(until=...)`` that stops short of a pending event pops
+        that event and pushes it back; those round trips fire nothing.
+        """
         sim = Simulation()
+        for i in range(10):
+            sim.schedule(1.0 + 2.0 * i, lambda: None)
+        for horizon in (2.0, 6.0, 10.0, 14.0):
+            sim.run(until=horizon)
+            assert sim.scheduler_stats["pops"] == sim.events_processed
+        sim.run()
+        stats = sim.scheduler_stats
+        assert sim.events_processed == 10
+        assert stats["pops"] == 10
+        assert stats["pushes"] == 10
+        assert stats["cancelled_skips"] == 0
 
-        def forever():
-            sim.schedule(1.0, forever)
-
-        sim.schedule(1.0, forever)
-        with pytest.raises(SimulationError):
-            drain(sim, limit=100)
-
-
-class TestProcess:
-    def test_process_runs_steps_sequentially(self):
+    def test_pops_equal_events_fired_with_step_and_cancel(self):
         sim = Simulation()
-        times = []
-
-        def activity():
-            times.append(sim.now)
-            yield 2.0
-            times.append(sim.now)
-            yield 3.0
-            times.append(sim.now)
-
-        Process(sim, activity())
-        drain(sim)
-        assert times == [0.0, 2.0, 5.0]
-
-    def test_on_done_fires_at_completion_time(self):
-        sim = Simulation()
-        done_at = []
-
-        def activity():
-            yield 4.0
-
-        Process(sim, activity()).on_done(lambda: done_at.append(sim.now))
-        drain(sim)
-        assert done_at == [4.0]
-
-    def test_on_done_after_completion_still_fires(self):
-        sim = Simulation()
-
-        def activity():
-            yield 1.0
-
-        process = Process(sim, activity())
-        drain(sim)
-        assert process.done
-        late = []
-        process.on_done(lambda: late.append(True))
-        drain(sim)
-        assert late == [True]
-
-    def test_cancel_stops_process(self):
-        sim = Simulation()
-        steps = []
-
-        def activity():
-            steps.append(1)
-            yield 1.0
-            steps.append(2)
-            yield 1.0
-
-        process = Process(sim, activity())
-        sim.step()  # run the kick-off (first segment)
-        process.cancel()
-        drain(sim)
-        assert steps == [1]
-        assert process.done
-
-
-class TestResource:
-    def test_grants_up_to_capacity(self):
-        sim = Simulation()
-        resource = Resource(sim, capacity=2)
-        granted = []
-        for i in range(3):
-            resource.acquire(lambda i=i: granted.append(i))
-        drain(sim)
-        assert granted == [0, 1]
-        assert resource.queue_length == 1
-
-    def test_release_hands_to_waiter(self):
-        sim = Simulation()
-        resource = Resource(sim, capacity=1)
-        granted = []
-        resource.acquire(lambda: granted.append("a"))
-        resource.acquire(lambda: granted.append("b"))
-        drain(sim)
-        resource.release()
-        drain(sim)
-        assert granted == ["a", "b"]
-
-    def test_release_without_acquire_raises(self):
-        sim = Simulation()
-        resource = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Resource(Simulation(), capacity=0)
-
-    def test_available_accounting(self):
-        sim = Simulation()
-        resource = Resource(sim, capacity=3)
-        resource.acquire(lambda: None)
-        drain(sim)
-        assert resource.in_use == 1
-        assert resource.available == 2
+        events = [sim.schedule(float(i), lambda: None) for i in range(6)]
+        events[0].cancel()
+        events[4].cancel()
+        assert sim.step()
+        sim.run(until=2.5)
+        assert sim.peek() == 3.0
+        sim.run()
+        stats = sim.scheduler_stats
+        assert sim.events_processed == 4
+        assert stats == {"pushes": 6, "pops": 4, "cancelled_skips": 2}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -15,44 +15,44 @@ def _sim(seed=40, rate=1.0, hours=0.5, num_platters=950, **kwargs):
         cooldown_hours=0.1,
         fixed_size=20_000_000,
     )
-    sim = LibrarySimulation(SimConfig(num_platters=num_platters, seed=seed, **kwargs))
-    sim.assign_trace(trace, start, end)
-    return sim
+    kernel = SimKernel(SimConfig(num_platters=num_platters, seed=seed, **kwargs))
+    kernel.lifecycle.assign_trace(trace, start, end)
+    return kernel
 
 
 class TestShuttleFailure:
     def test_all_requests_still_complete(self):
-        sim = _sim()
-        sim.schedule_shuttle_failure(600.0, shuttle_id=5)
-        report = sim.run()
-        assert sim.failures_injected == 1
-        assert sim.shuttles[5].shuttle.failed
+        kernel = _sim()
+        kernel.faults.schedule_shuttle_failure(600.0, shuttle_id=5)
+        report = kernel.run()
+        assert kernel.ctx.counters.faults_injected.value == 1
+        assert kernel.robotics.shuttles[5].shuttle.failed
         assert report.requests_completed == report.requests_submitted
 
     def test_partition_coverage_reassigned(self):
-        sim = _sim()
-        failed_partition = sim.shuttles[5].shuttle.partition
-        sim.schedule_shuttle_failure(600.0, shuttle_id=5)
-        sim.run()
-        cover = sim._partition_cover[failed_partition]
+        kernel = _sim()
+        failed_partition = kernel.robotics.shuttles[5].shuttle.partition
+        kernel.faults.schedule_shuttle_failure(600.0, shuttle_id=5)
+        kernel.run()
+        cover = kernel.dispatch.partition_cover[failed_partition]
         assert cover != failed_partition
-        assert not sim.shuttles[cover].shuttle.failed
+        assert not kernel.robotics.shuttles[cover].shuttle.failed
 
     def test_blast_zone_platters_rerouted_through_recovery(self):
         # Fail at t=0 while the shuttle sits at its storage-region home, so
         # the blast zone is a storage shelf with platters on it. (A shuttle
         # that dies parked at a read rack blocks no stored platters.)
-        sim = _sim()
-        sim.schedule_shuttle_failure(0.0, shuttle_id=3)
-        report = sim.run()
+        kernel = _sim()
+        kernel.faults.schedule_shuttle_failure(0.0, shuttle_id=3)
+        report = kernel.run()
         # Some platters went unavailable, and all their reads completed via
         # cross-platter fan-out anyway.
-        assert len(sim.unavailable) > 0
+        assert len(kernel.lifecycle.unavailable) > 0
         assert report.requests_completed == report.requests_submitted
         recovered = [
             r
-            for r in sim.all_requests
-            if r.parent is None and r.children and r.platter_id in sim.unavailable
+            for r in kernel.lifecycle.all_requests
+            if r.parent is None and r.children and r.platter_id in kernel.lifecycle.unavailable
         ]
         for parent in recovered:
             assert parent.done
@@ -62,9 +62,9 @@ class TestShuttleFailure:
         healthy_report = healthy.run()
         degraded = _sim(seed=41)
         for shuttle_id in (2, 9):
-            degraded.schedule_shuttle_failure(300.0, shuttle_id)
+            degraded.faults.schedule_shuttle_failure(300.0, shuttle_id)
         degraded_report = degraded.run()
-        assert degraded.failures_injected == 2
+        assert degraded.ctx.counters.faults_injected.value == 2
         assert (
             degraded_report.requests_completed == degraded_report.requests_submitted
         )
@@ -75,66 +75,67 @@ class TestShuttleFailure:
         )
 
     def test_invalid_shuttle_rejected(self):
-        sim = _sim()
+        kernel = _sim()
         with pytest.raises(IndexError):
-            sim.schedule_shuttle_failure(10.0, shuttle_id=99)
+            kernel.faults.schedule_shuttle_failure(10.0, shuttle_id=99)
 
 
 class TestDriveFailure:
     def test_requests_complete_around_dead_drive(self):
-        sim = _sim(seed=42)
-        sim.schedule_drive_failure(600.0, drive_id=0)
-        report = sim.run()
-        assert sim.drives[0].failed
+        kernel = _sim(seed=42)
+        kernel.faults.schedule_drive_failure(600.0, drive_id=0)
+        report = kernel.run()
+        assert kernel.robotics.drives[0].failed
         assert report.requests_completed == report.requests_submitted
 
     def test_partitions_rerouted_to_alive_drive(self):
-        sim = _sim(seed=43)
+        kernel = _sim(seed=43)
         victims = [
-            p.index for p in sim.policy.partitions if p.drive_id == 0
+            p.index for p in kernel.robotics.policy.partitions if p.drive_id == 0
         ]
-        sim.schedule_drive_failure(600.0, drive_id=0)
-        sim.run()
+        kernel.faults.schedule_drive_failure(600.0, drive_id=0)
+        kernel.run()
         for pid in victims:
-            override = sim._drive_override.get(pid)
+            override = kernel.dispatch.drive_override.get(pid)
             assert override is not None and override != 0
-            assert not sim.drives[override].failed
+            assert not kernel.robotics.drives[override].failed
 
     def test_dead_drive_does_not_serve(self):
-        sim = _sim(seed=44)
-        sim.schedule_drive_failure(100.0, drive_id=1)
-        sim.run()
-        drive = sim.drives[1]
+        kernel = _sim(seed=44)
+        kernel.faults.schedule_drive_failure(100.0, drive_id=1)
+        kernel.run()
+        drives = kernel.robotics.drives
+        drive = drives[1]
         # Drive accounting stops accruing after failure: its read share is
         # below the fleet average.
-        fleet_mean = sum(d.read_seconds for d in sim.drives) / len(sim.drives)
+        fleet_mean = sum(d.read_seconds for d in drives) / len(drives)
         assert drive.read_seconds <= fleet_mean
 
     def test_invalid_drive_rejected(self):
-        sim = _sim()
+        kernel = _sim()
         with pytest.raises(IndexError):
-            sim.schedule_drive_failure(10.0, drive_id=99)
+            kernel.faults.schedule_drive_failure(10.0, drive_id=99)
 
 
 class TestCombinedFailures:
     def test_shuttle_and_drive_failures_together(self):
-        sim = _sim(seed=45, rate=0.7)
-        sim.schedule_shuttle_failure(400.0, shuttle_id=7)
-        sim.schedule_drive_failure(500.0, drive_id=3)
-        report = sim.run()
-        assert sim.failures_injected == 2
+        kernel = _sim(seed=45, rate=0.7)
+        kernel.faults.schedule_shuttle_failure(400.0, shuttle_id=7)
+        kernel.faults.schedule_drive_failure(500.0, drive_id=3)
+        report = kernel.run()
+        assert kernel.ctx.counters.faults_injected.value == 2
         assert report.requests_completed == report.requests_submitted
         assert report.completions.within_slo()
 
 
 class TestRepairLifecycle:
     def test_shuttle_repairs_and_returns_to_service(self):
-        sim = _sim(seed=46)
-        sim.schedule_shuttle_failure(300.0, shuttle_id=5, repair_after=200.0)
-        report = sim.run()
-        shuttle = sim.shuttles[5].shuttle
+        kernel = _sim(seed=46)
+        kernel.faults.schedule_shuttle_failure(300.0, shuttle_id=5, repair_after=200.0)
+        report = kernel.run()
+        shuttle = kernel.robotics.shuttles[5].shuttle
         assert not shuttle.failed
-        assert sim.faults_repaired == 1
+        assert kernel.ctx.counters.faults_repaired.value == 1
         res = report.resilience
         assert res is not None
         assert res.faults_injected == 1 and res.faults_repaired == 1
@@ -143,48 +144,48 @@ class TestRepairLifecycle:
         assert report.requests_completed == report.requests_submitted
 
     def test_repair_restores_partition_cover(self):
-        sim = _sim(seed=46)
-        pid = sim.shuttles[5].shuttle.partition
-        sim.schedule_shuttle_failure(300.0, shuttle_id=5, repair_after=200.0)
-        sim.run()
-        assert sim._partition_cover[pid] == pid
+        kernel = _sim(seed=46)
+        pid = kernel.robotics.shuttles[5].shuttle.partition
+        kernel.faults.schedule_shuttle_failure(300.0, shuttle_id=5, repair_after=200.0)
+        kernel.run()
+        assert kernel.dispatch.partition_cover[pid] == pid
 
     def test_repair_restores_blast_zone_platters(self):
-        sim = _sim(seed=46)
-        sim.schedule_shuttle_failure(0.0, shuttle_id=3, repair_after=300.0)
-        sim.run()
+        kernel = _sim(seed=46)
+        kernel.faults.schedule_shuttle_failure(0.0, shuttle_id=3, repair_after=300.0)
+        kernel.run()
         # Every platter the blast zone blocked is reachable again.
-        assert len(sim.unavailable) == 0
+        assert len(kernel.lifecycle.unavailable) == 0
 
     def test_drive_repairs_and_routing_restored(self):
-        sim = _sim(seed=47)
-        victims = [p.index for p in sim.policy.partitions if p.drive_id == 0]
-        sim.schedule_drive_failure(300.0, drive_id=0, repair_after=400.0)
-        report = sim.run()
-        assert not sim.drives[0].failed
-        assert sim.faults_repaired == 1
+        kernel = _sim(seed=47)
+        victims = [p.index for p in kernel.robotics.policy.partitions if p.drive_id == 0]
+        kernel.faults.schedule_drive_failure(300.0, drive_id=0, repair_after=400.0)
+        report = kernel.run()
+        assert not kernel.robotics.drives[0].failed
+        assert kernel.ctx.counters.faults_repaired.value == 1
         for pid in victims:
-            assert pid not in sim._drive_override
+            assert pid not in kernel.dispatch.drive_override
         assert report.requests_completed == report.requests_submitted
 
     def test_overlapping_faults_partial_repair(self):
         """Repairing one shuttle must not free platters another still
         blocks (the simulator twin of FailureState.resolve semantics)."""
-        sim = _sim(seed=48)
-        sim.schedule_shuttle_failure(0.0, shuttle_id=3, repair_after=100.0)
-        sim.schedule_shuttle_failure(0.0, shuttle_id=4, repair_after=5000.0)
-        sim.run()
-        assert sim.faults_repaired == 2
-        assert len(sim.unavailable) == 0
+        kernel = _sim(seed=48)
+        kernel.faults.schedule_shuttle_failure(0.0, shuttle_id=3, repair_after=100.0)
+        kernel.faults.schedule_shuttle_failure(0.0, shuttle_id=4, repair_after=5000.0)
+        kernel.run()
+        assert kernel.ctx.counters.faults_repaired.value == 2
+        assert len(kernel.lifecycle.unavailable) == 0
 
     def test_repaired_run_beats_failstop_run(self):
         failstop = _sim(seed=49)
         for shuttle_id in (2, 7, 12):
-            failstop.schedule_shuttle_failure(300.0, shuttle_id)
+            failstop.faults.schedule_shuttle_failure(300.0, shuttle_id)
         failstop_report = failstop.run()
         repaired = _sim(seed=49)
         for shuttle_id in (2, 7, 12):
-            repaired.schedule_shuttle_failure(300.0, shuttle_id, repair_after=240.0)
+            repaired.faults.schedule_shuttle_failure(300.0, shuttle_id, repair_after=240.0)
         repaired_report = repaired.run()
         assert (
             repaired_report.resilience.availability
@@ -194,19 +195,19 @@ class TestRepairLifecycle:
 
 class TestMetadataOutage:
     def test_requests_park_and_retry_through_outage(self):
-        sim = _sim(seed=50)
-        sim.schedule_metadata_outage(300.0, duration=400.0)
-        report = sim.run()
-        assert sim.metadata_available
-        assert sim.metadata_retries > 0
-        assert report.resilience.metadata_retries == sim.metadata_retries
+        kernel = _sim(seed=50)
+        kernel.faults.schedule_metadata_outage(300.0, duration=400.0)
+        report = kernel.run()
+        assert kernel.faults.metadata_available
+        assert kernel.ctx.counters.metadata_retries.value > 0
+        assert report.resilience.metadata_retries == kernel.ctx.counters.metadata_retries.value
         assert report.requests_completed == report.requests_submitted
 
     def test_unrepaired_outage_strands_requests_without_livelock(self):
-        sim = _sim(seed=50)
-        sim.schedule_metadata_outage(300.0, duration=None)
-        report = sim.run()
-        assert not sim.metadata_available
+        kernel = _sim(seed=50)
+        kernel.faults.schedule_metadata_outage(300.0, duration=None)
+        report = kernel.run()
+        assert not kernel.faults.metadata_available
         # Arrivals after the outage park forever; nothing completes late
         # and the run still terminates (no retry storm).
         assert report.requests_completed < report.requests_submitted
@@ -216,7 +217,7 @@ class TestMetadataOutage:
         quiet = _sim(seed=51)
         quiet_report = quiet.run()
         noisy = _sim(seed=51)
-        noisy.schedule_metadata_outage(100.0, duration=600.0)
+        noisy.faults.schedule_metadata_outage(100.0, duration=600.0)
         noisy_report = noisy.run()
         assert quiet_report.resilience.availability == 1.0
         assert noisy_report.resilience.availability < 1.0
@@ -224,8 +225,8 @@ class TestMetadataOutage:
 
 class TestTransientReadErrors:
     def test_retry_ladder_counters(self):
-        sim = _sim(seed=52, transient_read_error_prob=0.1)
-        report = sim.run()
+        kernel = _sim(seed=52, transient_read_error_prob=0.1)
+        report = kernel.run()
         res = report.resilience
         assert res.reread_retries > 0
         assert report.requests_completed == report.requests_submitted

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.decode.training import train_decoder
 from repro.ecc.network_coding import TrackCode, TrackCodeConfig
 from repro.layout.deployment import DeploymentPlacer
@@ -172,9 +172,9 @@ class TestSimulatorAtScale:
         trace, start, end = generator.interval_trace(
             1.0, interval_hours=0.5, warmup_hours=0.1, cooldown_hours=0.1
         )
-        sim = LibrarySimulation(SimConfig(num_platters=1000, seed=99))
-        sim.assign_trace(trace, start, end)
-        report = sim.run()
+        kernel = SimKernel(SimConfig(num_platters=1000, seed=99))
+        kernel.lifecycle.assign_trace(trace, start, end)
+        report = kernel.run()
         assert report.requests_completed == report.requests_submitted
         assert report.completions.count > 100
         assert report.drive_utilization.utilization > 0.9

@@ -174,7 +174,7 @@ def test_serve_stops_at_horizon():
 
 def test_watch_cli_pacing_is_byte_identical_to_the_old_loop():
     """The rebuilt watch loop keeps monitor + report byte-identical."""
-    from repro.core import LibrarySimulation, SimConfig
+    from repro.core import SimConfig, SimKernel
     from repro.observability import TimeSeriesMonitor
     from repro.workload import WorkloadGenerator, profile_by_name
 
@@ -189,26 +189,26 @@ def test_watch_cli_pacing_is_byte_identical_to_the_old_loop():
             size_model=profile.size_model,
             burstiness=profile.burstiness,
         )
-        sim = LibrarySimulation(
+        kernel = SimKernel(
             SimConfig(num_drives=4, num_shuttles=4, num_platters=120, seed=2)
         )
-        sim.assign_trace(trace, start, end)
+        kernel.lifecycle.assign_trace(trace, start, end)
         horizon = (0.05 + 0.02) * 3600.0
         monitor = TimeSeriesMonitor(horizon / 40.0, max_samples=64)
-        monitor.attach(sim.kernel)
-        return sim, monitor, horizon
+        monitor.attach(kernel)
+        return kernel, monitor, horizon
 
     frames = 5
-    old_sim, old_monitor, horizon = build()
+    old_kernel, old_monitor, horizon = build()
     for frame in range(1, frames + 1):
-        old_sim.run(until=horizon * frame / frames)
-    old_report = old_sim.run()
+        old_kernel.run(until=horizon * frame / frames)
+    old_report = old_kernel.run()
 
-    new_sim, new_monitor, _ = build()
-    engine = PacedEngine(new_sim.sim, frame_wall_seconds=0.0)
+    new_kernel, new_monitor, _ = build()
+    engine = PacedEngine(new_kernel.ctx.sim, frame_wall_seconds=0.0)
     for _frame, _now in engine.frames(horizon, frames):
         pass
-    new_report = new_sim.run()
+    new_report = new_kernel.run()
 
     assert new_monitor.as_dict() == old_monitor.as_dict()
     assert new_report.as_dict() == old_report.as_dict()

@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import Simulation, drain
+from repro.core.events import Simulation
 from repro.ecc.crc import append_checksum, crc32c, verify_checksum
 from repro.ecc.durability import binomial_tail
 from repro.ecc.gf256 import gf_div, gf_inv, gf_mul, gf_pow
@@ -190,7 +192,7 @@ class TestSimulationEngineProperties:
         fired = []
         for delay in delays:
             sim.schedule(delay, lambda: fired.append(sim.now))
-        drain(sim)
+        sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
@@ -210,8 +212,8 @@ class TestSimulationEngineProperties:
 
 #: One step of a randomized scheduler program. ``schedule`` delays are
 #: drawn from a small palette with repeats so equal timestamps (the
-#: tie-order case) arise constantly; the 1e5 outlier stretches the
-#: calendar queue's bucket span enough to force resizes.
+#: tie-order case) arise constantly; the 1e5 outlier keeps far-future
+#: entries pending across many run horizons.
 _scheduler_ops = st.one_of(
     st.tuples(
         st.just("schedule"),
@@ -223,16 +225,103 @@ _scheduler_ops = st.one_of(
 )
 
 
-class TestSchedulerBackendEquivalence:
-    """Heap and calendar backends must replay any schedule/cancel/run
-    interleaving byte-identically: same fire order, same clock, same
-    sampler ticks and observer labels, same engine counters (only the
-    calendar's resize count is backend-specific)."""
+class _OracleEvent:
+    """A pending callback of :class:`_ListEngine`."""
+
+    def __init__(self, time, callback, label):
+        self.time = time
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ListEngine:
+    """Sorted-list reference model of :class:`Simulation`.
+
+    Pending ``(time, seq, event)`` entries sit in one list kept sorted by
+    ``bisect.insort``; the head is index 0. The model states the engine's
+    contract directly: fire the earliest live entry while it is within the
+    horizon, discard cancelled entries whenever they reach the head (one
+    ``cancelled_skip`` each), fire samples due at or before the next event
+    and close out the drained tail, and pin the clock to the horizon.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.observer = None
+        self._queue = []
+        self._sampler = None
+        self.pushes = 0
+        self.pops = 0
+        self.cancelled_skips = 0
+
+    @property
+    def events_processed(self):
+        return self.pops
+
+    @property
+    def scheduler_stats(self):
+        return {
+            "pushes": self.pushes,
+            "pops": self.pops,
+            "cancelled_skips": self.cancelled_skips,
+        }
+
+    def schedule(self, delay, callback, label=""):
+        event = _OracleEvent(self.now + delay, callback, label)
+        bisect.insort(self._queue, (event.time, self.pushes, event))
+        self.pushes += 1
+        return event
+
+    def set_sampler(self, interval, callback):
+        self._sampler = [self.now + interval, callback]
+
+    def _fire_samples(self, limit):
+        while self._sampler is not None and self._sampler[0] <= limit:
+            due, callback = self._sampler
+            self.now = max(self.now, due)
+            interval = callback(due)
+            self._sampler = None if interval is None else [due + interval, callback]
+
+    def _live_head(self):
+        while self._queue and self._queue[0][2].cancelled:
+            del self._queue[0]
+            self.cancelled_skips += 1
+        return self._queue[0] if self._queue else None
+
+    def peek(self):
+        head = self._live_head()
+        return None if head is None else head[0]
+
+    def run(self, until=None):
+        while True:
+            head = self._live_head()
+            if head is None or (until is not None and head[0] > until):
+                break
+            del self._queue[0]
+            time, _seq, event = head
+            self._fire_samples(time)
+            self.now = time
+            self.pops += 1
+            event.callback()
+            if self.observer is not None:
+                self.observer(event.label, 0.0)
+        if until is not None and self.now < until:
+            self._fire_samples(until)
+            self.now = until
+
+
+class TestEngineOracle:
+    """The heap engine must replay any schedule/cancel/run interleaving
+    exactly like the sorted-list oracle: same fire order, same clock, same
+    sampler ticks and observer labels, same event count and counters."""
 
     @staticmethod
-    def _execute(program, scheduler):
+    def _execute(program, sim):
         """Run ``program`` on a fresh engine; return every observable."""
-        sim = Simulation(scheduler=scheduler)
         log = []
         samples = []
         observed = []
@@ -253,8 +342,7 @@ class TestSchedulerBackendEquivalence:
                     )
                 elif action == "cancel-next":
                     # Mid-run cancellation of the earliest still-pending
-                    # handle: exercises lazy-deletion skips in both
-                    # backends at matching points in the run.
+                    # handle: exercises lazy-deletion skips.
                     for handle in handles:
                         if not handle.cancelled and handle.time >= sim.now:
                             handle.cancel()
@@ -274,43 +362,43 @@ class TestSchedulerBackendEquivalence:
                     handles[op[1] % len(handles)].cancel()
             else:  # run
                 sim.run(until=sim.now + op[1])
+                log.append(("run", sim.now, sim.events_processed, sim.scheduler_stats))
         sim.run()
-        return log, samples, observed, sim.now, sim.events_processed, sim.scheduler_stats
+        return (
+            log,
+            samples,
+            observed,
+            sim.now,
+            sim.events_processed,
+            sim.scheduler_stats,
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_scheduler_ops, min_size=1, max_size=40))
-    def test_backends_replay_identically(self, program):
-        heap = self._execute(program, "heap")
-        calendar = self._execute(program, "calendar")
-        # Fire order, sampler ticks, observer labels, clock, event count.
-        assert heap[:5] == calendar[:5]
-        heap_stats, calendar_stats = heap[5], calendar[5]
-        assert heap_stats["backend"] == "heap"
-        assert calendar_stats["backend"] == "calendar"
-        for key in ("pushes", "pops", "cancelled_skips"):
-            assert heap_stats[key] == calendar_stats[key]
-        assert heap_stats["resizes"] == 0
+    def test_engine_matches_oracle(self, program):
+        engine = self._execute(program, Simulation())
+        oracle = self._execute(program, _ListEngine())
+        assert engine == oracle
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_scheduler_ops, min_size=1, max_size=25))
     def test_peek_matches_next_fire(self, program):
-        """``peek`` on either backend is exactly the next fired time."""
-        for scheduler in ("heap", "calendar"):
-            sim = Simulation(scheduler=scheduler)
-            for i, op in enumerate(program):
-                if op[0] == "schedule":
-                    sim.schedule(op[1], lambda: None)
-            fired = []
-            while True:
-                head = sim.peek()
-                if head is None:
-                    break
-                before = sim.events_processed
-                assert sim.step()
-                assert sim.now == head
-                assert sim.events_processed == before + 1
-                fired.append(head)
-            assert fired == sorted(fired)
+        """``peek`` is exactly the next fired time."""
+        sim = Simulation()
+        for i, op in enumerate(program):
+            if op[0] == "schedule":
+                sim.schedule(op[1], lambda: None)
+        fired = []
+        while True:
+            head = sim.peek()
+            if head is None:
+                break
+            before = sim.events_processed
+            assert sim.step()
+            assert sim.now == head
+            assert sim.events_processed == before + 1
+            fired.append(head)
+        assert fired == sorted(fired)
 
 
 class TestWorkloadProperties:

@@ -5,14 +5,20 @@ import importlib
 import pytest
 
 SUBPACKAGES = [
+    "repro.bench",
     "repro.core",
+    "repro.core.sim",
     "repro.costs",
     "repro.decode",
     "repro.ecc",
+    "repro.fleet",
     "repro.layout",
     "repro.library",
     "repro.media",
+    "repro.observability",
+    "repro.serve",
     "repro.service",
+    "repro.tenancy",
     "repro.workload",
 ]
 
@@ -45,8 +51,8 @@ class TestKeyTypesAccessible:
     def test_simulator_types(self):
         from repro.core import (
             DeploymentSimulation,
-            LibrarySimulation,
             SimConfig,
+            SimKernel,
             TapeLibrarySimulation,
         )
 

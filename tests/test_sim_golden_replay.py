@@ -1,19 +1,20 @@
-"""Golden replay: the facade and the composed kernel are the same machine.
+"""Golden replay: the kernel's alternate paths are the same machine.
 
-:class:`repro.core.simulation.LibrarySimulation` survives as a thin facade
-over :class:`repro.core.sim.SimKernel`. These tests pin that equivalence
-the strongest way available: under matched seeds, a facade-driven run and
-a kernel-driven run must produce the *identical* report (every metric,
-compared as dicts), the identical structured-trace event stream, and the
-identical metrics export — across dispatch policies, under fault
-schedules, and with tenancy enabled. Any divergence means the
-decomposition changed behaviour, which the bench comparator's EXACT gate
-would also catch — this test just catches it earlier and names the event.
+Two configuration switches keep a reference path live beside the fast
+one: rescan dispatch beside incremental dispatch, and fine motion events
+beside closed-form trips. These tests pin each pair the strongest way
+available: under matched seeds, both runs must produce the *identical*
+report (every metric, compared as dicts), the identical structured-trace
+event stream, and the identical metrics export — across dispatch
+policies, under fault schedules, and with tenancy enabled. Any divergence
+means a fast path changed behaviour, which the bench comparator's EXACT
+gate would also catch — this test just catches it earlier and names the
+event.
 """
 
 import pytest
 
-from repro.core.sim import LibrarySimulation, SimConfig, SimKernel
+from repro.core.sim import SimConfig, SimKernel
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
 from repro.observability import Tracer
 from repro.tenancy import skewed_mix
@@ -36,100 +37,25 @@ def _trace(rate=0.5, hours=0.4, seed=11, registry=None):
     )
 
 
-def _facade_run(config, trace, start, end, schedule=None):
-    tracer = Tracer()
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    return report, tracer.events(), simulation.metrics.as_dict()
-
-
-def _kernel_run(config, trace, start, end, schedule=None):
-    tracer = Tracer()
-    kernel = SimKernel(config, tracer=tracer)
-    kernel.lifecycle.assign_trace(trace, start, end)
-    if schedule is not None:
-        kernel.faults.apply_fault_schedule(schedule)
-    report = kernel.run()
-    return report, tracer.events(), kernel.ctx.metrics.as_dict()
-
-
-def _assert_identical(facade, kernel):
-    f_report, f_events, f_metrics = facade
-    k_report, k_events, k_metrics = kernel
-    assert f_report.as_dict() == k_report.as_dict()
-    assert len(f_events) == len(k_events)
-    for f_event, k_event in zip(f_events, k_events):
-        assert f_event == k_event
-    assert f_metrics == k_metrics
-
-
-@pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
-def test_policies_replay_identically(policy):
-    config = SimConfig(policy=policy, num_platters=400, num_drives=8,
-                       num_shuttles=8, seed=5)
-    trace, start, end = _trace()
-    _assert_identical(
-        _facade_run(config, trace, start, end),
-        _kernel_run(config, trace, start, end),
-    )
-
-
-def test_fault_schedule_replays_identically():
-    config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8,
-                       transient_read_error_prob=0.02, seed=7)
-    trace, start, end = _trace(seed=13)
-    horizon = (end + 0.1 * 3600.0)
-    chaos = ChaosConfig(
-        horizon_seconds=horizon,
-        shuttle=FaultModel(mtbf_seconds=900.0, mttr_seconds=120.0),
-        drive=FaultModel(mtbf_seconds=1200.0, mttr_seconds=240.0),
-        metadata=FaultModel(mtbf_seconds=1800.0, mttr_seconds=60.0),
-        seed=7,
-    )
-    schedule = FaultSchedule.generate(chaos, config.num_shuttles, config.num_drives)
-    _assert_identical(
-        _facade_run(config, trace, start, end, schedule),
-        _kernel_run(config, trace, start, end, schedule),
-    )
-
-
-def test_tenancy_replays_identically():
-    registry = skewed_mix(num_tenants=4, seed=3, total_rate_per_second=0.6,
-                          zero_quota_tenant=True)
-    trace, start, end = _trace(registry=registry)
-    config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8,
-                       tenancy=registry, fetch_policy="deadline", seed=3)
-    _assert_identical(
-        _facade_run(config, trace, start, end),
-        _kernel_run(config, trace, start, end),
-    )
-
-
-def test_skewed_assignment_replays_identically():
-    config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8, seed=9)
-    trace, start, end = _trace(seed=17)
-
-    tracer_f, tracer_k = Tracer(), Tracer()
-    facade = LibrarySimulation(config, tracer=tracer_f)
-    facade.assign_trace(trace, start, end, skew=1.2)
-    kernel = SimKernel(config, tracer=tracer_k)
-    kernel.lifecycle.assign_trace(trace, start, end, skew=1.2)
-    assert facade.run().as_dict() == kernel.run().as_dict()
-    assert tracer_f.events() == tracer_k.events()
+def _assert_identical(left, right):
+    l_report, l_events, l_metrics = left
+    r_report, r_events, r_metrics = right
+    assert l_report.as_dict() == r_report.as_dict()
+    assert len(l_events) == len(r_events)
+    for l_event, r_event in zip(l_events, r_events):
+        assert l_event == r_event
+    assert l_metrics == r_metrics
 
 
 def _mode_run(config_kwargs, trace, start, end, schedule=None, incremental=True):
     tracer = Tracer()
     config = SimConfig(incremental_dispatch=incremental, **config_kwargs)
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
+    kernel = SimKernel(config, tracer=tracer)
+    kernel.lifecycle.assign_trace(trace, start, end)
     if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
+        kernel.faults.apply_fault_schedule(schedule)
+    report = kernel.run()
+    metrics = kernel.ctx.metrics.as_dict()
     # The short-circuit counter measures the incremental fast path itself
     # (the rescan reference never takes it); everything else must match.
     metrics.pop("sim_dispatch_short_circuits_total", None)
@@ -180,72 +106,13 @@ def test_incremental_dispatch_replays_rescan_with_tenancy():
     )
 
 
-def _scheduler_run(config_kwargs, trace, start, end, scheduler, schedule=None):
-    tracer = Tracer()
-    config = SimConfig(event_scheduler=scheduler, **config_kwargs)
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
-    # The ring-rebuild count is the one backend-specific stat (a heap
-    # never resizes); pushes/pops/cancelled-skips must match exactly.
-    metrics.pop("sim_engine_resizes", None)
-    return report, tracer.events(), metrics
-
-
-@pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
-def test_scheduler_backends_replay_identically(policy):
-    """Heap and calendar backends replay every policy byte-identically."""
-    kwargs = dict(policy=policy, num_platters=400, num_drives=8,
-                  num_shuttles=8, seed=5)
-    trace, start, end = _trace()
-    _assert_identical(
-        _scheduler_run(kwargs, trace, start, end, "heap"),
-        _scheduler_run(kwargs, trace, start, end, "calendar"),
-    )
-
-
-def test_scheduler_backends_replay_identically_under_faults():
-    """Fault-heavy runs (lots of cancellations) replay across backends."""
-    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
-                  transient_read_error_prob=0.02, seed=7)
-    trace, start, end = _trace(seed=13)
-    chaos = ChaosConfig(
-        horizon_seconds=end + 0.1 * 3600.0,
-        shuttle=FaultModel(mtbf_seconds=900.0, mttr_seconds=120.0),
-        drive=FaultModel(mtbf_seconds=1200.0, mttr_seconds=240.0),
-        metadata=FaultModel(mtbf_seconds=1800.0, mttr_seconds=60.0),
-        seed=7,
-    )
-    schedule = FaultSchedule.generate(chaos, 8, 8)
-    _assert_identical(
-        _scheduler_run(kwargs, trace, start, end, "heap", schedule),
-        _scheduler_run(kwargs, trace, start, end, "calendar", schedule),
-    )
-
-
-def test_scheduler_backends_replay_identically_with_tenancy():
-    """QoS-scheduled (deadline fetch) runs replay across backends."""
-    registry = skewed_mix(num_tenants=4, seed=3, total_rate_per_second=0.6,
-                          zero_quota_tenant=True)
-    trace, start, end = _trace(registry=registry)
-    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
-                  tenancy=registry, fetch_policy="deadline", seed=3)
-    _assert_identical(
-        _scheduler_run(kwargs, trace, start, end, "heap"),
-        _scheduler_run(kwargs, trace, start, end, "calendar"),
-    )
-
-
 def _motion_run(config_kwargs, trace, start, end, fine):
     tracer = Tracer()
     config = SimConfig(fine_motion_events=fine, **config_kwargs)
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
+    kernel = SimKernel(config, tracer=tracer)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
+    metrics = kernel.ctx.metrics.as_dict()
     # Closed-form trips exist to schedule fewer events, so the engine
     # counters differ by design; everything else must be byte-equal.
     for key in list(metrics):
@@ -279,17 +146,17 @@ def test_coarse_motion_replays_fine_when_serialized(policy):
     )
 
 
-def test_facade_population_matches_kernel_iterator():
-    """The facade's request list and the kernel's measured iterator agree."""
+def test_request_population_matches_kernel_iterator():
+    """The lifecycle's request list, filtered, is the measured iterator."""
     config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8, seed=21)
     trace, start, end = _trace(seed=21)
-    simulation = LibrarySimulation(config)
-    simulation.assign_trace(trace, start, end)
-    simulation.run()
-    legacy = [
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    kernel.run()
+    filtered = [
         r
-        for r in simulation.all_requests
+        for r in kernel.lifecycle.all_requests
         if r.measured and r.done and r.parent is None
     ]
-    assert legacy == list(simulation.kernel.measured_completed())
+    assert filtered == list(kernel.measured_completed())
     assert len(ReadTrace(list(trace))) == len(trace)

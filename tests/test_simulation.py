@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.metrics import SLO_SECONDS, CompletionStats, DriveUtilization
 from repro.core.requests import SimRequest
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import ReadRequest, ReadTrace
 
@@ -23,10 +23,10 @@ def _trace(rate=0.5, hours=0.5, seed=1, fixed_size=4_000_000):
 
 def _run(config, trace_args=None, skew=None):
     trace, start, end = _trace(**(trace_args or {}))
-    sim = LibrarySimulation(config)
-    sim.assign_trace(trace, start, end, skew=skew)
-    report = sim.run()
-    return sim, report
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end, skew=skew)
+    report = kernel.run()
+    return kernel, report
 
 
 class TestConfigValidation:
@@ -50,17 +50,17 @@ class TestConfigValidation:
 class TestCompletion:
     @pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
     def test_all_requests_complete(self, policy):
-        sim, report = _run(SimConfig(policy=policy, num_platters=500, seed=2))
+        kernel, report = _run(SimConfig(policy=policy, num_platters=500, seed=2))
         assert report.requests_completed == report.requests_submitted
         assert report.completions.count > 0
 
     def test_completion_time_positive(self):
-        sim, report = _run(SimConfig(num_platters=500, seed=3))
+        kernel, report = _run(SimConfig(num_platters=500, seed=3))
         assert report.completions.median > 0
         assert report.completions.tail >= report.completions.median
 
     def test_light_load_meets_slo(self):
-        sim, report = _run(SimConfig(num_platters=500, seed=4))
+        kernel, report = _run(SimConfig(num_platters=500, seed=4))
         assert report.completions.within_slo()
 
     def test_deterministic_given_seed(self):
@@ -114,7 +114,7 @@ class TestDriveAccounting:
         assert util.utilization == pytest.approx(0.9)
 
     def test_per_drive_reports(self):
-        sim, report = _run(SimConfig(num_drives=20, num_platters=500, seed=13))
+        kernel, report = _run(SimConfig(num_drives=20, num_platters=500, seed=13))
         assert len(report.per_drive_utilization) == 20
 
     def test_bytes_verified_positive(self):
@@ -140,9 +140,9 @@ class TestTrackReads:
     def test_minimum_read_is_one_track(self):
         """Even a 1-byte file scans a whole track (the minimum read unit)."""
         args = {"rate": 0.3, "hours": 0.3, "seed": 17, "fixed_size": 1}
-        sim, report = _run(SimConfig(num_platters=300, seed=17), args)
+        kernel, report = _run(SimConfig(num_platters=300, seed=17), args)
         per_request = report.bytes_read / report.completions.count
-        assert per_request >= sim.config.track_read_bytes * 0.99
+        assert per_request >= kernel.config.track_read_bytes * 0.99
 
 
 class TestSharding:
@@ -150,8 +150,8 @@ class TestSharding:
         """Files above the shard limit split across platters (Section 6)."""
         config = SimConfig(num_platters=500, shard_tracks_limit=10, seed=18)
         args = {"rate": 0.1, "hours": 0.3, "seed": 18, "fixed_size": 2_000_000_000}
-        sim, report = _run(config, args)
-        parents = [r for r in sim.all_requests if r.children and r.parent is None]
+        kernel, report = _run(config, args)
+        parents = [r for r in kernel.lifecycle.all_requests if r.children and r.parent is None]
         assert parents
         for parent in parents:
             platters = {c.platter_id for c in parent.children}
@@ -161,8 +161,8 @@ class TestSharding:
     def test_shard_track_budget_respected(self):
         config = SimConfig(num_platters=500, shard_tracks_limit=10, seed=19)
         args = {"rate": 0.1, "hours": 0.3, "seed": 19, "fixed_size": 2_000_000_000}
-        sim, _ = _run(config, args)
-        for request in sim.all_requests:
+        kernel, _ = _run(config, args)
+        for request in kernel.lifecycle.all_requests:
             if request.parent is not None:
                 assert request.num_tracks <= 10
 
@@ -172,11 +172,11 @@ class TestUnavailability:
         """Requests to unavailable platters become I_p sub-reads (Fig. 8)."""
         config = SimConfig(num_platters=400, unavailable_fraction=0.1, seed=20)
         args = {"rate": 0.3, "hours": 0.3, "seed": 20}
-        sim, report = _run(config, args)
+        kernel, report = _run(config, args)
         recovered = [
             r
-            for r in sim.all_requests
-            if r.parent is None and r.children and r.platter_id in sim.unavailable
+            for r in kernel.lifecycle.all_requests
+            if r.parent is None and r.children and r.platter_id in kernel.lifecycle.unavailable
         ]
         assert recovered
         for parent in recovered:
@@ -185,11 +185,11 @@ class TestUnavailability:
 
     def test_unavailable_capped_per_set(self):
         config = SimConfig(num_platters=950, unavailable_fraction=0.1, seed=21)
-        sim = LibrarySimulation(config)
+        kernel = SimKernel(config)
         group = config.platter_set_information + config.platter_set_redundancy
         per_set = {}
-        for platter in sim.unavailable:
-            set_id = sim._platter_index[platter] // group
+        for platter in kernel.lifecycle.unavailable:
+            set_id = kernel.robotics.platter_index[platter] // group
             per_set[set_id] = per_set.get(set_id, 0) + 1
         assert max(per_set.values()) <= config.platter_set_redundancy
 
@@ -207,10 +207,10 @@ class TestSkew:
     def test_zipf_concentrates_load(self):
         config = SimConfig(num_platters=400, seed=23)
         trace, start, end = _trace(rate=1.0, hours=0.4, seed=23)
-        sim = LibrarySimulation(config)
-        sim.assign_trace(trace, start, end, skew=3.3)
+        kernel = SimKernel(config)
+        kernel.lifecycle.assign_trace(trace, start, end, skew=3.3)
         counts = {}
-        for request in sim.all_requests:
+        for request in kernel.lifecycle.all_requests:
             counts[request.platter_id] = counts.get(request.platter_id, 0) + 1
         ranked = sorted(counts.values(), reverse=True)
         # Most-read platter dominates by about an order of magnitude (§7.5).
@@ -221,11 +221,11 @@ class TestSkew:
         trace, start, end = _trace(**args)
         results = {}
         for stealing in (True, False):
-            sim = LibrarySimulation(
+            kernel = SimKernel(
                 SimConfig(num_platters=400, work_stealing=stealing, seed=24)
             )
-            sim.assign_trace(trace, start, end, skew=2.0)
-            results[stealing] = sim.run()
+            kernel.lifecycle.assign_trace(trace, start, end, skew=2.0)
+            results[stealing] = kernel.run()
         assert results[True].completions.tail < results[False].completions.tail
         assert results[True].shuttles.steals > 0
 
@@ -240,10 +240,10 @@ class TestBatteryManagement:
             recharge_seconds=120.0,
             seed=30,
         )
-        sim, report = _run(config, args)
-        assert sim.recharges > 0
+        kernel, report = _run(config, args)
+        assert kernel.ctx.counters.recharges.value > 0
         assert report.requests_completed == report.requests_submitted
-        for shuttle_sim in sim.shuttles:
+        for shuttle_sim in kernel.robotics.shuttles:
             # No shuttle ran to empty and kept working.
             assert shuttle_sim.shuttle.battery_joules >= 0
 
@@ -252,5 +252,5 @@ class TestBatteryManagement:
         config = SimConfig(
             num_platters=400, battery_management=False, seed=31
         )
-        sim, report = _run(config, args)
-        assert sim.recharges == 0
+        kernel, report = _run(config, args)
+        assert kernel.ctx.counters.recharges.value == 0

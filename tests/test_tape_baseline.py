@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.core.tape_baseline import TapeConfig, TapeLibrarySimulation
 from repro.workload.generator import WorkloadGenerator
 
@@ -72,8 +72,8 @@ class TestVersusSilica:
         tape = TapeLibrarySimulation(TapeConfig(num_drives=20, seed=54))
         tape.assign_trace(trace, start, end)
         tape_report = tape.run()
-        silica = LibrarySimulation(SimConfig(num_drives=20, num_platters=500, seed=54))
-        silica.assign_trace(trace, start, end)
+        silica = SimKernel(SimConfig(num_drives=20, num_platters=500, seed=54))
+        silica.lifecycle.assign_trace(trace, start, end)
         silica_report = silica.run()
         assert (
             silica_report.completions.tail < tape_report.completions.tail / 3

@@ -5,7 +5,7 @@ import pytest
 from repro.core.metrics import jain_index, QoSMetrics
 from repro.core.requests import SimRequest
 from repro.core.scheduler import ArrivalOrderPolicy
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.observability.tracer import Tracer
 from repro.tenancy import (
     BULK,
@@ -368,10 +368,10 @@ def _run_tenant_sim(registry, fetch_policy="deadline", tracer=None, seed=4):
         fetch_policy=fetch_policy,
         tenancy=registry,
     )
-    sim = LibrarySimulation(config, tracer=tracer)
-    sim.assign_trace(trace, start, end)
-    report = sim.run()
-    return sim, report
+    kernel = SimKernel(config, tracer=tracer)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
+    return kernel, report
 
 
 class TestSimulationIntegration:
@@ -385,15 +385,15 @@ class TestSimulationIntegration:
 
     def test_qos_block_absent_without_tenancy(self):
         config = SimConfig(seed=1, num_platters=100)
-        sim = LibrarySimulation(config)
+        kernel = SimKernel(config)
         trace, start, end = WorkloadGenerator(seed=1).interval_trace(
             mean_rate_per_second=0.05,
             interval_hours=0.5,
             warmup_hours=0.1,
             cooldown_hours=0.1,
         )
-        sim.assign_trace(trace, start, end)
-        report = sim.run()
+        kernel.lifecycle.assign_trace(trace, start, end)
+        report = kernel.run()
         assert report.qos is None
         assert report.as_dict()["qos"] is None
 
@@ -406,7 +406,7 @@ class TestSimulationIntegration:
         )
         suspended = registry.tenants[-1].name
         tracer = Tracer()
-        sim, report = _run_tenant_sim(registry, tracer=tracer)
+        kernel, report = _run_tenant_sim(registry, tracer=tracer)
         row = report.qos.per_tenant[suspended]
         assert row.rejected > 0
         assert row.admitted == 0

@@ -35,7 +35,6 @@ from typing import Dict, Iterator, List, Tuple
 _KERNEL_INTERNALS = (
     "context",
     "dispatch",
-    "facade",
     "faults",
     "kernel",
     "lifecycle",
