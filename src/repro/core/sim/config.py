@@ -61,13 +61,6 @@ class SimConfig:
     # imports the tenancy package.
     fetch_policy: str = "arrival"
     tenancy: Optional[TenancyLike] = None
-    # Incremental dispatch: the dispatch subsystem maintains dirty-flagged
-    # caches (partition-cover index, drive routes, steal donors, pending
-    # returns) instead of rescanning topology on every dispatch event.
-    # False selects the per-event full-rescan reference path — byte-exact
-    # with the incremental one (pinned by the golden-replay suite) and kept
-    # for differential testing.
-    incremental_dispatch: bool = True
     # Fine-grained shuttle motion: True (the default) schedules every trip
     # hop (move/pick/move/place) as its own event; False collapses each
     # trip into one closed-form completion event. Coarse trips draw RNG in

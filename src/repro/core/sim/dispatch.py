@@ -13,8 +13,8 @@ SP baseline) and :class:`NoShuttleDispatch` (teleporting NS lower bound) —
 implement the :class:`~repro.core.sim.hooks.DispatchPolicy` protocol and
 are interchangeable behind it.
 
-Dispatch is *incremental* by default: the quantities a pass needs are
-maintained under dirty-flag invalidation rather than recomputed per event.
+Dispatch is *incremental*: the quantities a pass needs are maintained
+under dirty-flag invalidation rather than recomputed per event.
 
 * **Cover index** (`owner partition -> covered partitions`) — rebuilt only
   after the fault subsystem rewrites ``partition_cover`` (shuttle
@@ -26,20 +26,23 @@ maintained under dirty-flag invalidation rather than recomputed per event.
   ``partition_load``, so it is cached and invalidated exactly where the
   loads change (:meth:`DispatchSubsystem.note_enqueued` /
   :meth:`DispatchSubsystem.reduce_partition_load`).
-* **Candidate entry counts** — live entry totals for the partition and
-  global heaps (pure push/pop bookkeeping, stale entries included) let a
-  pass skip candidate probing outright when the indexes are empty.
-* **Pending returns** — a counter maintained at the two transitions
-  (service finishes / return assigned) lets a pass skip the all-drives
-  return scan when nothing awaits return.
-* **Idle short-circuit** — a pass with no idle shuttle provably assigns
-  nothing (every assignment needs one), so it exits before touching any
+* **Partition-heap entry count** — the live entry total over the
+  partition heaps (pure push/pop bookkeeping, stale entries included)
+  lets a pass skip candidate probing outright when every heap is empty.
+* **Pending returns** — a list maintained at the two transitions
+  (service finishes / return assigned), so a pass visits only the drives
+  whose platter awaits a return.
+* **Idle pool** — each pass scans for idle shuttles once and hands that
+  pool to every step. An empty pool provably assigns nothing (every
+  assignment needs a shuttle), so the pass exits before touching any
   index. The dispatch *event* still fires: pending faults are released at
-  that boundary first, which the short-circuit must not skip.
+  that boundary first, which the empty-pool exit must not skip.
 
-Every cache answers exactly what the per-event rescan would have computed
-— ``SimConfig.incremental_dispatch=False`` selects the rescan reference
-path, and the golden-replay suite pins the two byte-identical.
+Every cache must answer exactly what a recomputation from raw state would.
+The per-pass oracle in ``tests/test_dispatch_incremental.py`` recomputes
+each one before and after every pass, and ``tests/golden/
+dispatch_decisions.json`` pins the fetch, return and mount decisions that
+a full-rescan reference dispatcher produced before it was retired.
 """
 
 from __future__ import annotations
@@ -76,78 +79,59 @@ class SilicaDispatch:
 
     def run(self, d: "DispatchSubsystem") -> None:
         """Assign idle shuttles to returns, then partition fetches."""
-        robotics = d.robotics
-        if d.idle_short_circuit():
+        pool = d.idle_pool()
+        if not pool:
             return
-        d.dispatch_returns()
+        d.dispatch_returns(pool)
+        robotics = d.robotics
         policy = robotics.policy
         assert isinstance(policy, PartitionedPolicy)
         ctx = d.ctx
-        incremental = d.incremental
         heaps = d.partition_heaps
-        if incremental:
-            # Pass-level fetch guard: with nothing queued anywhere, or no
-            # drive customer slot free anywhere, no shuttle can be handed
-            # a fetch — the only remaining pass duty is the recharge
-            # check, which the memo makes one attribute read per shuttle.
-            # (Flushing slot notes first is pure cache maintenance.)
-            if d._slot_dirty or d._free_pids is None:
-                d.free_partitions()
-            if not d._partition_entries or not d._free_pids:
-                for shuttle_sim in d.shuttle_pool():
-                    if not shuttle_sim.busy and not shuttle_sim.no_recharge_memo:
-                        d.maybe_recharge(shuttle_sim)
-                return
+        # Pass-level fetch guard: with nothing queued anywhere, or no drive
+        # customer slot free anywhere, no shuttle can be handed a fetch —
+        # the only remaining pass duty is the recharge check, which the
+        # memo makes one attribute read per shuttle. (Flushing slot notes
+        # first is pure cache maintenance.)
+        if d._slot_dirty or d._free_pids is None:
+            d.free_partitions()
+        if not d._partition_entries or not d._free_pids:
+            for shuttle_sim in pool:
+                if not shuttle_sim.busy and not shuttle_sim.no_recharge_memo:
+                    d.maybe_recharge(shuttle_sim)
+            return
         # Donor ranking never changes within a pass (loads mutate in other
         # events), so compute it lazily at most once per pass.
         donors: Optional[List[int]] = None
-        for shuttle_sim in d.shuttle_pool():
-            if incremental:
-                # Pool members passed the idle scan; only ``busy`` can flip
-                # mid-pass (assignments below), so one attribute check
-                # replaces the full idle re-check.
-                if shuttle_sim.busy:
-                    continue
-                if not shuttle_sim.no_recharge_memo and d.maybe_recharge(
-                    shuttle_sim
-                ):
-                    continue
-                if not d._partition_entries:
-                    # Every partition heap is empty (live entry count is
-                    # pure push/pop bookkeeping): no probe or steal can
-                    # succeed.
-                    continue
-                # Flush slot notes (an assignment below posts one for the
-                # drive it reserves), then consult the owner refcount: no
-                # free drive among this shuttle's covered partitions means
-                # no fetch can be placed — steals mount on the thief's own
-                # drives too.
-                if d._slot_dirty or d._free_pids is None:
-                    d.free_partitions()
-                shuttle = shuttle_sim.shuttle
-                if not d._free_owner_count.get(shuttle.partition):
-                    continue
-                free_pids = d._free_pids
-            else:
-                if not shuttle_sim.idle:
-                    continue
-                if d.maybe_recharge(shuttle_sim):
-                    continue
-                free_pids = None
-                shuttle = shuttle_sim.shuttle
+        for shuttle_sim in pool:
+            # Pool members passed the idle scan; only ``busy`` can flip
+            # mid-pass (assignments below), so one attribute check replaces
+            # the full idle re-check.
+            if shuttle_sim.busy:
+                continue
+            if not shuttle_sim.no_recharge_memo and d.maybe_recharge(shuttle_sim):
+                continue
+            if not d._partition_entries:
+                # Every partition heap is empty (live entry count is pure
+                # push/pop bookkeeping): no probe or steal can succeed.
+                continue
+            # Flush slot notes (an assignment below posts one for the drive
+            # it reserves), then consult the owner refcount: no free drive
+            # among this shuttle's covered partitions means no fetch can be
+            # placed — steals mount on the thief's own drives too.
+            if d._slot_dirty or d._free_pids is None:
+                d.free_partitions()
+            shuttle = shuttle_sim.shuttle
+            if not d._free_owner_count.get(shuttle.partition):
+                continue
+            free_pids = d._free_pids
             for pid in d.covered_partitions(shuttle.partition):
-                if free_pids is not None:
-                    if pid not in free_pids:
-                        continue
-                    # ``free_pids`` membership already proves this
-                    # partition's drive exists and has a free customer
-                    # slot; the route lookup is deferred until a platter
-                    # is actually in hand (most probes find empty heaps).
-                    drive = None
-                else:
-                    drive = d.partition_drive(pid)
-                    if drive is None or not drive.customer_slot_free:
-                        continue
+                # ``free_pids`` membership proves this partition's drive
+                # exists and has a free customer slot; the route lookup is
+                # deferred until a platter is actually in hand (most probes
+                # find empty heaps).
+                if pid not in free_pids:
+                    continue
                 # An empty heap can't yield a candidate and popping it has
                 # no side effects — skip the call on the common dry probe.
                 own_heap = heaps[pid]
@@ -168,8 +152,7 @@ class SilicaDispatch:
                             break
                 if platter is None:
                     continue
-                if drive is None:
-                    drive = d.partition_drive(pid)
+                drive = d.partition_drive(pid)
                 if stolen:
                     policy.steals += 1
                     ctx.counters.steals.inc()
@@ -194,11 +177,11 @@ class ShortestPathsDispatch:
 
     def run(self, d: "DispatchSubsystem") -> None:
         """Assign idle shuttles to returns, then nearest-shuttle fetches."""
-        robotics = d.robotics
-        if d.idle_short_circuit():
+        pool = d.idle_pool()
+        if not pool:
             return
-        d.dispatch_returns()
-        pool = d.shuttle_pool()
+        d.dispatch_returns(pool)
+        robotics = d.robotics
         for shuttle_sim in pool:
             if shuttle_sim.idle:
                 d.maybe_recharge(shuttle_sim)
@@ -299,11 +282,6 @@ class DispatchSubsystem:
         self.drive_override: Dict[int, int] = {}
         self._dispatch_scheduled = False
         self.policy: DispatchPolicy = dispatch_policy_for(ctx.config.policy)
-        #: False selects the per-event full-rescan reference path (see the
-        #: module docstring); the caches below then sit unused.
-        self.incremental: bool = getattr(
-            ctx.config, "incremental_dispatch", True
-        )
         # Dirty-flagged caches. Each is invalidated at the state transition
         # that changes its inputs and rebuilt lazily on next use:
         #   cover index   <- partition_cover     (shuttle failure/repair)
@@ -332,22 +310,18 @@ class DispatchSubsystem:
         # scheduler alone (the kernel swaps it in during composition).
         self._pop_valid: Optional[Callable[[str], bool]] = None
         self._pop_valid_scheduler: Optional[object] = None
-        #: The current pass's idle-shuttle scan result (see
-        #: :meth:`idle_short_circuit` / :meth:`shuttle_pool`).
-        self._idle_pass: Optional[List[ShuttleSim]] = None
-        # Live entry counts for the candidate indexes (stale entries
-        # included — pure heap bookkeeping, maintained by push/pop). Zero
-        # partition entries proves every partition-heap pop would miss, so
-        # a pass skips candidate probing and steal ranking entirely.
+        # Live entry count of the partition heaps (stale entries included —
+        # pure heap bookkeeping, maintained by push/pop). Zero proves every
+        # partition-heap pop would miss, so a pass skips candidate probing
+        # and steal ranking entirely.
         self._partition_entries = 0
-        self._global_entries = 0
         #: Drives holding a finished platter with no return assigned yet —
         #: maintained by :meth:`note_return_pending` / the assignment in
-        #: :meth:`dispatch_returns` so a pass can skip the return scan.
-        self.unassigned_returns = 0
+        #: :meth:`dispatch_returns`.
         self._pending_returns: List[DriveSim] = []
-        # Scan-order rank of each drive: pending returns are visited in
-        # the same order the rescan's all-drives sweep would find them.
+        # Fleet-order rank of each drive: pending returns are visited in
+        # drive order, which fixes the order of return assignments (the
+        # committed bench baselines pin it).
         self._drive_order: Dict[int, int] = {
             d.drive_id: i for i, d in enumerate(robotics.drives)
         }
@@ -382,22 +356,17 @@ class DispatchSubsystem:
         self.ctx.counters.dispatch_passes.inc()
         self.policy.run(self)
 
-    def idle_short_circuit(self) -> bool:
-        """True when this pass can exit before touching any index.
+    def idle_pool(self) -> List[ShuttleSim]:
+        """This pass's idle shuttles, in fleet order; empty ends the pass.
 
-        With no idle shuttle a pass provably assigns nothing: returns,
-        recharges and fetches all require one. Only taken on the
-        incremental path — the rescan reference walks everything — and
-        counted, so the short-circuit rate is visible in the metrics.
-
-        When the pass proceeds, the scan's survivors are kept as the
-        pass's shuttle pool (:meth:`shuttle_pool`): shuttles busy at the
-        start of a pass cannot turn idle mid-pass (only events do that),
-        so iterating the pool with a live ``idle`` re-check visits exactly
-        the shuttles the full scan would.
+        With no idle shuttle a pass provably assigns nothing — returns,
+        recharges and fetches all require one — so an empty pool is
+        counted (``dispatch_short_circuits``), making the rate visible in
+        the metrics. Shuttles busy at the start of a pass cannot turn idle
+        mid-pass (only events do that), so walking the pool with a live
+        ``busy``/``idle`` re-check visits exactly the shuttles a full scan
+        would.
         """
-        if not self.incremental:
-            return False
         idle = [
             s
             for s in self.robotics.shuttles
@@ -405,22 +374,9 @@ class DispatchSubsystem:
             # pass over every shuttle, where two property hops dominate.
             if not s.busy and s.shuttle.state is not _FAILED
         ]
-        if idle:
-            self._idle_pass = idle
-            return False
-        self.ctx.counters.dispatch_short_circuits.inc()
-        return True
-
-    def shuttle_pool(self) -> List[ShuttleSim]:
-        """Shuttles a policy pass should visit (callers re-check ``idle``).
-
-        The incremental path reuses :meth:`idle_short_circuit`'s scan —
-        order-preserving, so assignment order matches the full scan; the
-        rescan reference walks every shuttle.
-        """
-        if self.incremental and self._idle_pass is not None:
-            return self._idle_pass
-        return self.robotics.shuttles
+        if not idle:
+            self.ctx.counters.dispatch_short_circuits.inc()
+        return idle
 
     # ------------------------------------------------------------------ #
     # Returns
@@ -428,57 +384,41 @@ class DispatchSubsystem:
 
     def note_return_pending(self, drive: DriveSim) -> None:
         """A drive's service finished: its platter now awaits a return trip."""
-        self.unassigned_returns += 1
-        if self.incremental:
-            # The rescan reference finds pending returns by sweeping all
-            # drives, so only incremental runs feed (and drain) the list.
-            self._pending_returns.append(drive)
+        self._pending_returns.append(drive)
 
-    def dispatch_returns(self) -> None:
-        """Assign idle shuttles to drives with a platter awaiting return.
+    def dispatch_returns(self, pool: List[ShuttleSim]) -> None:
+        """Assign ``pool`` shuttles to drives with a platter awaiting return.
 
-        Incremental passes walk only the pending-return list — in drive
-        scan-order rank, so assignments land in the same order as the
-        rescan's all-drives sweep. A drive leaves the list exactly when the
-        sweep would start skipping it (``return_assigned``; the flag holds
-        until the platter is picked, after which ``awaiting_return`` is
-        gone), so list membership mirrors the sweep's filter.
+        Walks the pending-return list in drive order. A drive leaves the
+        list once its return is assigned (``return_assigned``; the flag
+        holds until the platter is picked, after which ``awaiting_return``
+        is gone).
         """
-        if self.incremental:
-            pending = self._pending_returns
-            if not pending:
-                return
-            if len(pending) > 1:
-                order = self._drive_order
-                pending.sort(key=lambda d: order[d.drive_id])
-            remaining: List[DriveSim] = []
-            for drive in pending:
-                shuttle = self.shuttle_for_return(drive)
-                if shuttle is None:
-                    remaining.append(drive)
-                    continue
-                drive.return_assigned = True
-                self.unassigned_returns -= 1
-                self.ctx.counters.dispatch_assignments.inc()
-                self.robotics.start_return(shuttle, drive)
-            self._pending_returns = remaining
+        pending = self._pending_returns
+        if not pending:
             return
-        for drive in self.robotics.drives:
-            if drive.awaiting_return is None or drive.return_assigned:
-                continue
-            shuttle = self.shuttle_for_return(drive)
+        if len(pending) > 1:
+            order = self._drive_order
+            pending.sort(key=lambda d: order[d.drive_id])
+        remaining: List[DriveSim] = []
+        for drive in pending:
+            shuttle = self.shuttle_for_return(drive, pool)
             if shuttle is None:
+                remaining.append(drive)
                 continue
             drive.return_assigned = True
-            self.unassigned_returns -= 1
             self.ctx.counters.dispatch_assignments.inc()
             self.robotics.start_return(shuttle, drive)
+        self._pending_returns = remaining
 
-    def shuttle_for_return(self, drive: DriveSim) -> Optional[ShuttleSim]:
-        """The shuttle responsible for returning the drive's platter."""
+    def shuttle_for_return(
+        self, drive: DriveSim, pool: List[ShuttleSim]
+    ) -> Optional[ShuttleSim]:
+        """The ``pool`` shuttle to return the drive's platter: the idle
+        shuttle covering its partition, or under SP the nearest idle one
+        (None when there is no such shuttle)."""
         platter = drive.awaiting_return
         robotics = self.robotics
-        pool = self.shuttle_pool()
         if isinstance(robotics.policy, PartitionedPolicy):
             partition = self.platter_partition[platter]
             cover = self.partition_cover.get(partition, partition)
@@ -501,25 +441,17 @@ class DispatchSubsystem:
     def push_candidate(self, platter: str, priority: float) -> None:
         """Publish a platter's fetch candidacy at the given priority.
 
-        Incremental runs push to exactly the index the active policy pops
-        — the partition heap under the partitioned policy (whose global
-        heap is never consumed, so feeding it only leaks memory), the
-        global heap otherwise. The rescan reference keeps the legacy
-        dual-push for fidelity with the pre-incremental simulator.
+        The entry goes to exactly the index the active policy pops: the
+        platter's partition heap under the partitioned policy, the global
+        heap otherwise.
         """
         entry = (priority, platter)
         pid = self.platter_partition.get(platter)
-        if not self.incremental:
-            heapq.heappush(self.global_heap, entry)
-            if pid is not None:
-                heapq.heappush(self.partition_heaps[pid], entry)
-            return
         if pid is not None:
             heapq.heappush(self.partition_heaps[pid], entry)
             self._partition_entries += 1
         else:
             heapq.heappush(self.global_heap, entry)
-            self._global_entries += 1
 
     def pop_candidate(self, heap: List[Tuple[float, str]]) -> Optional[str]:
         """Earliest valid pending platter from a heap (lazy invalidation).
@@ -548,14 +480,11 @@ class DispatchSubsystem:
             self._pop_valid = valid
             self._pop_valid_scheduler = scheduler
 
+        if heap is self.global_heap:
+            return pop_min_valid(heap, valid)
         before = len(heap)
         chosen = pop_min_valid(heap, valid)
-        removed = before - len(heap)
-        if removed:
-            if heap is self.global_heap:
-                self._global_entries -= removed
-            else:
-                self._partition_entries -= removed
+        self._partition_entries -= before - len(heap)
         return chosen
 
     def end_service(self, platter: str) -> None:
@@ -593,13 +522,10 @@ class DispatchSubsystem:
         cached until the loads next change — every load mutation runs
         through :meth:`note_enqueued` / :meth:`reduce_partition_load`,
         which drop the cache. Loads never change *within* a pass (serves
-        and withdrawals happen in other events), so the per-shuttle calls
-        the rescan path makes all return this same list.
+        and withdrawals happen in other events).
         """
         policy = self.robotics.policy
         assert isinstance(policy, PartitionedPolicy)
-        if not self.incremental:
-            return policy.steal_candidates(self.partition_load)
         if self._steal_donors is None:
             self._steal_donors = policy.steal_candidates(self.partition_load)
         return self._steal_donors
@@ -684,10 +610,9 @@ class DispatchSubsystem:
 
         An idle shuttle drains no battery, so once a check says "no
         recharge needed" the answer holds until the shuttle next works (or
-        is repaired) — those transitions clear the memo. The rescan
-        reference re-asks robotics every pass.
+        is repaired) — those transitions clear the memo.
         """
-        if self.incremental and shuttle_sim.no_recharge_memo:
+        if shuttle_sim.no_recharge_memo:
             return False
         if self.robotics.maybe_recharge(shuttle_sim):
             return True
@@ -698,16 +623,10 @@ class DispatchSubsystem:
         """Partitions this shuttle serves: its own plus any adopted from
         failed shuttles (controller reassignment).
 
-        Incremental passes answer from the cover index; the index groups
-        ``partition_cover`` in its iteration order, so each owner's list is
-        byte-identical with the rescan's filtered scan.
+        Answered from the cover index, which groups ``partition_cover`` in
+        its iteration order: each owner's list equals the filter
+        ``[pid for pid, cover in partition_cover.items() if cover == own]``.
         """
-        if not self.incremental:
-            return [
-                pid
-                for pid, cover in self.partition_cover.items()
-                if cover == own_partition
-            ]
         if self._cover_dirty:
             index: Dict[int, List[int]] = {}
             for pid, cover in self.partition_cover.items():
@@ -724,8 +643,6 @@ class DispatchSubsystem:
         drive resolves to None — and every ``drive.failed`` flip runs the
         fault subsystem's rerouting, which drops this cache.
         """
-        if not self.incremental:
-            return self._route_for(pid)
         if self._routes_dirty:
             self._route_cache = {}
             self._routes_dirty = False

@@ -17,6 +17,7 @@ their stubs actually satisfy the seam they stub.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -24,6 +25,9 @@ from typing import (
     Protocol,
     runtime_checkable,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .dispatch import DispatchSubsystem
 
 
 @runtime_checkable
@@ -140,16 +144,8 @@ class DispatchPolicy(Protocol):
 
     name: str
 
-    def run(self, dispatch: "DispatchSubsystemLike") -> None:
+    def run(self, dispatch: "DispatchSubsystem") -> None:
         """Execute one dispatch pass over the subsystem's state."""
-        ...
-
-
-class DispatchSubsystemLike(Protocol):
-    """The slice of the dispatch subsystem a :class:`DispatchPolicy` uses."""
-
-    def dispatch_returns(self) -> None:
-        """Assign idle shuttles to platters awaiting return."""
         ...
 
 

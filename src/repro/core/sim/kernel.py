@@ -108,12 +108,14 @@ class SimKernel:
     def sample_state(self) -> Dict[str, float]:
         """Read-only gauge snapshot of live kernel state, for samplers.
 
-        Every value is computed by *reading* subsystem state — no
-        dispatch caches are touched or populated (``partition_drive`` is
-        maintained on both the incremental and rescan paths, so routing
-        reads are safe), no RNG is drawn, and no events are scheduled.
-        That purity is what lets a monitor-on run keep its simulated
-        metrics byte-identical to the monitor-off run.
+        Every value is computed by *reading* subsystem state: no RNG is
+        drawn and no events are scheduled. The one write is that
+        ``partition_drive`` may fill its route memo, which is a pure
+        function of the routing tables (``drive_override``, the partition
+        map and each drive's ``failed`` flag), so a filled entry answers
+        exactly what the next dispatch pass would compute itself. That
+        purity is what lets a monitor-on run keep its simulated metrics
+        byte-identical to the monitor-off run.
         """
         robotics = self.robotics
         scheduler = self.ctx.scheduler

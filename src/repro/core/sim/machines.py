@@ -68,7 +68,7 @@ class ShuttleSim:
     def __init__(self, shuttle: Shuttle):
         self.shuttle = shuttle
         self.busy = False
-        #: Incremental-dispatch memo: True while the last idle recharge
+        #: Dispatch recharge memo: True while the last idle recharge
         #: check said "no recharge needed" and the battery has not changed
         #: since (an idle shuttle drains nothing). Cleared at every
         #: busy -> idle transition and on repair.
