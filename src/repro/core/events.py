@@ -321,16 +321,17 @@ class PacedEngine:
     live service mode (``repro.serve``) and of ``python -m repro watch``'s
     frame pacing. Two ideas keep it deterministic enough to serve traffic:
 
-    * All simulation state is touched by exactly one thread (whichever
-      thread calls :meth:`advance_to` / :meth:`serve` — "the engine
-      thread"). Other threads hand work in through :meth:`inject`, a
+    * Simulation state is touched only by the code that advances the
+      clock — :meth:`advance_to`, or :meth:`run_slice`, which the live
+      server calls from a task on its asyncio loop. Everything else (other
+      tasks, other threads) hands work in through :meth:`inject`, a
       thread-safe FIFO of callbacks.
-    * Injections are drained only at slice boundaries, on the engine
-      thread, and each callback runs at the *current* sim time. Once a
-      request has been injected at sim time ``t``, everything downstream
-      of it is the ordinary deterministic kernel — wall-clock jitter only
-      moves the admission timestamp, never the event interleaving after
-      it.
+    * Injections are drained only at slice boundaries, by the code that
+      advances the clock, and each callback runs at the *current* sim
+      time. Once a request has been injected at sim time ``t``,
+      everything downstream of it is the ordinary deterministic kernel —
+      wall-clock jitter only moves the admission timestamp, never the
+      event interleaving after it.
 
     ``dilation <= 0`` means *free run*: :meth:`advance_to` does not sleep
     at all and is byte-equivalent to ``sim.run(until=...)`` (this is what
@@ -351,8 +352,7 @@ class PacedEngine:
     ) -> None:
         self.sim = sim
         self.dilation = float(dilation)
-        #: Upper bound on how long the engine thread sleeps before
-        #: re-checking stop flags and the wall clock (seconds).
+        #: Upper bound on one wall-clock wait between slices (seconds).
         self.poll_wall_seconds = float(poll_wall_seconds)
         #: Wall pause between :meth:`frames` slices (the watch refresh).
         self.frame_wall_seconds = float(frame_wall_seconds)
@@ -361,7 +361,6 @@ class PacedEngine:
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
         self._pending: deque = deque()
         self._injected_total = 0
         self._drained_total = 0
@@ -370,7 +369,7 @@ class PacedEngine:
 
     @property
     def pending_injections(self) -> int:
-        """Callbacks injected but not yet drained onto the engine thread."""
+        """Callbacks injected but not yet drained by a slice."""
         with self._lock:
             return len(self._pending)
 
@@ -381,24 +380,23 @@ class PacedEngine:
             return (self._injected_total, self._drained_total, self._refused_total)
 
     def inject(self, callback: Callable[[], None]) -> bool:
-        """Hand ``callback`` to the engine thread; safe from any thread.
+        """Hand ``callback`` to the next slice; safe from any thread.
 
         The callback runs at the next slice boundary, at the engine's
         current sim time, in FIFO order with other injections. Returns
         False (and counts a refusal) when ``max_pending`` is set and the
         queue is full — the caller's backpressure signal.
         """
-        with self._wake:
+        with self._lock:
             if self.max_pending > 0 and len(self._pending) >= self.max_pending:
                 self._refused_total += 1
                 return False
             self._pending.append(callback)
             self._injected_total += 1
-            self._wake.notify_all()
         return True
 
     def drain_injections(self) -> int:
-        """Run all pending injected callbacks; engine thread only."""
+        """Run all pending injected callbacks; slice boundaries only."""
         ran = 0
         while True:
             with self._lock:
@@ -415,13 +413,10 @@ class PacedEngine:
         return sim0 + (self._clock() - wall0) * self.dilation
 
     def _wait_wall(self, seconds: float) -> None:
-        """Idle until ``seconds`` pass, an injection arrives, or poll cap."""
+        """Sleep ``seconds`` of wall time, at most ``poll_wall_seconds``."""
         timeout = min(seconds, self.poll_wall_seconds)
-        if timeout <= 0:
-            return
-        with self._wake:
-            if not self._pending:
-                self._wake.wait(timeout)
+        if timeout > 0:
+            self._sleep(timeout)
 
     def advance_to(self, sim_target: float) -> None:
         """Advance the sim clock to ``sim_target``, pacing by ``dilation``.
@@ -445,40 +440,35 @@ class PacedEngine:
             if self.sim.now >= sim_target:
                 return
             # Sleep toward whichever comes first: the next event, or the
-            # target itself; injections cut the wait short via the
-            # condition, the poll cap bounds it either way.
+            # target itself; the poll cap bounds how late an injection
+            # waits to be drained.
             horizon = sim_target
             next_event = self.sim.peek()
             if next_event is not None:
                 horizon = min(horizon, next_event)
             self._wait_wall(max(0.0, (horizon - due) / self.dilation))
 
-    def serve(self, stop: threading.Event, horizon: Optional[float] = None) -> None:
-        """Run paced until ``stop`` is set (or sim time reaches ``horizon``).
+    def run_slice(self) -> Optional[float]:
+        """Drain injections, then run the sim up to the wall-clock due time.
 
-        The open-ended loop behind a live server: keeps the sim clock
-        tracking the wall clock and keeps draining injected requests.
-        Requires ``dilation > 0`` — an unpaced server would spin sim time
-        to infinity.
+        One non-blocking step of a live server's pacer: it never sleeps and
+        never runs sim time past ``origin + elapsed * dilation``. Returns
+        the wall seconds until the next pending event is due, or None when
+        the queue is empty; the caller waits at most that long (and at
+        most ``poll_wall_seconds``) before the next slice. Requires
+        ``dilation > 0`` — an unpaced slice would spin sim time to
+        infinity.
         """
         if self.dilation <= 0:
-            raise SimulationError("serve() requires dilation > 0 (paced mode)")
+            raise SimulationError("run_slice() requires dilation > 0 (paced mode)")
         if self._origin is None:
             self._origin = (self._clock(), self.sim.now)
-        while not stop.is_set():
-            self.drain_injections()
-            due = self._wall_due()
-            if horizon is not None:
-                due = min(due, horizon)
-            self.sim.run(until=due)
-            if horizon is not None and self.sim.now >= horizon:
-                return
-            next_event = self.sim.peek()
-            if next_event is None:
-                self._wait_wall(self.poll_wall_seconds)
-            else:
-                self._wait_wall(max(0.0, (next_event - due) / self.dilation))
         self.drain_injections()
+        self.sim.run(until=self._wall_due())
+        next_event = self.sim.peek()
+        if next_event is None:
+            return None
+        return max(0.0, (next_event - self.sim.now) / self.dilation)
 
     def frames(
         self, horizon: float, count: int

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..workload.profiles import WorkloadProfile
 from ..workload.generator import WorkloadGenerator
@@ -55,6 +54,11 @@ class ReplicatedMetric:
         """Half-width of the t confidence interval around the mean."""
         if self.n < 2:
             return 0.0
+        # Imported here, not at module level: scipy is most of the
+        # package's import time and this is its only use, so no entry
+        # point pays for it unless it reports a confidence interval.
+        from scipy import stats as scipy_stats
+
         t = scipy_stats.t.ppf(0.5 + self.confidence / 2, df=self.n - 1)
         return float(t * self.std / np.sqrt(self.n))
 

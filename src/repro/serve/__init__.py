@@ -8,9 +8,11 @@ admission + kernel + tracer tap, transport-free), an
 (:mod:`repro.serve.loadgen`, ``python -m repro loadgen``), and a
 virtual-time soak harness (:mod:`repro.serve.soak`) behind the
 ``serve_soak`` bench scenario. Sim time is coupled to the wall clock by
-:class:`~repro.core.events.PacedEngine` at a configurable dilation;
-requests arriving during the run enter the kernel deterministically
-through the engine's thread-safe injection queue.
+:class:`~repro.core.events.PacedEngine` at a configurable dilation; the
+server paces it from a task on its own asyncio loop, so the whole
+service runs on one thread, and requests arriving during the run enter
+the kernel deterministically through the engine's injection queue at
+slice boundaries.
 
 Layering: serve imports the kernel, tenancy and observability; nothing
 under ``repro.core`` (or those two packages) may import serve back —

@@ -9,20 +9,22 @@ snapshot. Keeping it transport-free is what makes the whole serving path
 testable (and benchmarkable) in pure virtual time — the ``serve_soak``
 scenario drives this class directly, no HTTP anywhere.
 
-Threading contract: every method that touches simulation state
-(:meth:`put_object`, :meth:`begin_read`, :meth:`status`) must run on the
-engine thread. The HTTP frontend (:mod:`repro.serve.server`) gets there
-by wrapping calls in :meth:`~repro.core.events.PacedEngine.inject`;
-virtual-time callers (tests, the soak harness) simply *are* the engine
-thread. The few counters the HTTP thread updates directly
-(backpressure rejects, slow-client drops) sit behind ``counter_lock``.
+Threading contract: the core is single-threaded. Every method that
+touches simulation state (:meth:`put_object`, :meth:`begin_read`,
+:meth:`status`) runs on the thread that advances the sim clock, at the
+current sim time. The HTTP frontend (:mod:`repro.serve.server`) gets
+there by wrapping calls in :meth:`~repro.core.events.PacedEngine.inject`,
+which its pacer task drains at slice boundaries on the same asyncio
+loop; virtual-time callers (tests, the soak harness) drive the clock
+themselves and call straight in. The frontend bumps the few counters it
+owns (backpressure rejects, slow-client drops, server errors) on that
+same thread, so nothing here needs a lock.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from threading import Lock
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.events import PacedEngine
@@ -128,7 +130,7 @@ class ReadTicket:
     def on_complete(self, callback: Callable[["ReadTicket"], None]) -> None:
         """Run ``callback(ticket)`` at completion (immediately if done).
 
-        Engine-thread only, like every core entry point — which is what
+        Single-threaded, like every core entry point — which is what
         makes the registered-then-completed race impossible.
         """
         if self.completed_ts is not None:
@@ -213,9 +215,6 @@ class ArchiveServerCore:
         self.catalog: Dict[str, Tuple[int, str]] = {}
         self._inflight: Dict[int, ReadTicket] = {}
         self._subscribers: List[Subscription] = []
-        self._sub_lock = Lock()
-        #: guards the counters the HTTP thread bumps directly.
-        self.counter_lock = Lock()
         self.counters: Dict[str, int] = {
             "puts": 0,
             "reads_submitted": 0,
@@ -255,27 +254,22 @@ class ArchiveServerCore:
                     degraded=ticket.request.degraded,
                 )
                 ticket._resolve(event.ts)
-        if self._subscribers:
-            with self._sub_lock:
-                subscribers = list(self._subscribers)
-            for sub in subscribers:
-                sub.callback(event)
+        for sub in self._subscribers:
+            sub.callback(event)
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> Subscription:
-        """Register an ``/events`` consumer; safe from any thread."""
+        """Register an ``/events`` consumer, called with every trace event."""
         sub = Subscription(callback)
-        with self._sub_lock:
-            self._subscribers.append(sub)
+        self._subscribers.append(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Remove a consumer registered by :meth:`subscribe`."""
-        with self._sub_lock:
-            if sub in self._subscribers:
-                self._subscribers.remove(sub)
+        if sub in self._subscribers:
+            self._subscribers.remove(sub)
 
     # ------------------------------------------------------------------ #
-    # Data path (engine thread only)
+    # Data path (sim-clock thread only)
     # ------------------------------------------------------------------ #
 
     def _place(self, object_id: str) -> str:
@@ -386,14 +380,13 @@ class ArchiveServerCore:
         return ticket
 
     # ------------------------------------------------------------------ #
-    # Status (engine thread only)
+    # Status (sim-clock thread only)
     # ------------------------------------------------------------------ #
 
     def status(self) -> Dict[str, Any]:
         """The ``GET /status`` payload: clocks, gauges, books, tenants."""
         injected, drained, refused = self.engine.injection_stats
-        with self.counter_lock:
-            counters = dict(self.counters)
+        counters = dict(self.counters)
         payload: Dict[str, Any] = {
             "sim_now_seconds": self.sim.now,
             "dilation": self.config.dilation,

@@ -3,9 +3,12 @@
 Just enough protocol for the archive server and its load generator: a
 request parser with hard caps (header count/size, body size), response
 builders, and a drain-with-timeout writer so one slow client can never
-wedge the event loop. Deliberately not a framework — four routes and an
-NDJSON stream don't need one, and owning the parser means the
-slow-client and backpressure behaviour is exactly what the tests pin.
+wedge the event loop. Each inbound request is read under one deadline,
+and a response's drain is timed only when the client has stopped
+reading, so a request costs one timer rather than one per line.
+Deliberately not a framework — four routes and an NDJSON stream don't
+need one, and owning the parser means the slow-client and backpressure
+behaviour is exactly what the tests pin.
 """
 
 from __future__ import annotations
@@ -78,25 +81,39 @@ async def read_request(
 ) -> Optional[HttpRequest]:
     """Parse one request off ``reader``; None on clean EOF.
 
-    Raises :class:`HttpError` on malformed input or cap violations and
-    :class:`asyncio.TimeoutError` when the client stalls mid-request.
+    The request line, headers and body are read under one ``timeout``
+    deadline. Raises :class:`HttpError` on malformed input or cap
+    violations and :class:`asyncio.TimeoutError` when the client stalls
+    mid-request.
     """
-    line = await asyncio.wait_for(reader.readline(), timeout)
+    return await asyncio.wait_for(_parse_request(reader), timeout)
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; 400 if it exceeds the header line cap."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # longer than the stream's own buffer limit
+        raise HttpError(400, f"{what} too long") from None
+    if len(line) > MAX_HEADER_LINE_BYTES:
+        raise HttpError(400, f"{what} too long")
+    return line
+
+
+async def _parse_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
+    """The body of :func:`read_request`, without its deadline."""
+    line = await _read_line(reader, "request line")
     if not line:
         return None
-    if len(line) > MAX_HEADER_LINE_BYTES:
-        raise HttpError(400, "request line too long")
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HttpError(400, "malformed request line")
     method, path, version = parts
     headers: Dict[str, str] = {}
     while True:
-        line = await asyncio.wait_for(reader.readline(), timeout)
+        line = await _read_line(reader, "header line")
         if not line:
             raise HttpError(400, "connection closed mid-headers")
-        if len(line) > MAX_HEADER_LINE_BYTES:
-            raise HttpError(400, "header line too long")
         text = line.decode("latin-1").strip()
         if not text:
             break
@@ -113,7 +130,7 @@ async def read_request(
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     if length:
-        request.body = await asyncio.wait_for(reader.readexactly(length), timeout)
+        request.body = await reader.readexactly(length)
     return request
 
 
@@ -164,9 +181,20 @@ def stream_head(content_type: str = "application/x-ndjson") -> bytes:
 async def send_with_timeout(
     writer: asyncio.StreamWriter, data: bytes, timeout: float
 ) -> None:
-    """Write + drain under a deadline; TimeoutError marks a slow client."""
+    """Write + drain; TimeoutError marks a slow client.
+
+    ``drain()`` can only block while the transport's protocol is paused,
+    and a paused protocol stays paused until the write buffer falls back
+    to its low-water mark. So the deadline (and its timer) is armed only
+    when the buffer is above that mark — what a client that stopped
+    reading causes; otherwise ``drain()`` returns at once.
+    """
     writer.write(data)
-    await asyncio.wait_for(writer.drain(), timeout)
+    transport = writer.transport
+    if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[0]:
+        await asyncio.wait_for(writer.drain(), timeout)
+    else:
+        await writer.drain()
 
 
 async def read_response(

@@ -1,15 +1,20 @@
-"""The asyncio frontend: sockets in, paced twin behind a worker thread.
+"""The asyncio frontend: sockets in, paced twin on the same event loop.
 
-:class:`ArchiveServer` binds a TCP port, runs the
-:class:`~repro.core.events.PacedEngine` on a dedicated worker thread,
-and bridges every request handler onto that thread through the engine's
-thread-safe injection queue — so all simulation state stays
-single-threaded while the event loop serves arbitrarily many
-connections. Backpressure is end-to-end: a full injection queue turns
-into HTTP 503 before any kernel work happens, an over-quota tenant gets
-429 with a refill-derived ``Retry-After``, and a client that stops
-reading its ``/events`` stream is disconnected by the slow-client write
-timeout instead of growing an unbounded buffer.
+:class:`ArchiveServer` binds a TCP port and runs the
+:class:`~repro.core.events.PacedEngine` as a pacer task on its own
+event loop: each slice drains injected requests and runs the twin up to
+the wall clock, then the task sleeps until the next sim event is due or
+a request arrives. Handlers reach the twin only through the engine's
+injection queue, so all simulation state changes at slice boundaries
+while the loop serves arbitrarily many connections — with no thread
+and no cross-thread wake-up anywhere on the request path.
+Backpressure is end-to-end: a full injection queue turns into HTTP 503
+before any kernel work happens, an over-quota tenant gets 429 with a
+refill-derived ``Retry-After``, and a client that stops reading its
+``/events`` stream is disconnected by the slow-client write timeout
+instead of growing an unbounded buffer. A pacer that raises fails
+fast: the traceback is logged under an error id, and every pending and
+later request that needs the twin gets a 500 carrying that id.
 
 Routes::
 
@@ -24,9 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import math
-import threading
-from typing import Any, Callable, Optional
+import uuid
+from typing import Any, Callable, Optional, Set
 
 from ..observability.tracer import TraceEvent
 from .core import ArchiveServerCore, ReadRejected, ReadTicket
@@ -43,9 +49,19 @@ from .http import (
 #: Queue depth of one /events subscriber before events are dropped.
 EVENTS_QUEUE_DEPTH = 1024
 
+LOG = logging.getLogger(__name__)
+
 
 class BackpressureError(Exception):
     """The engine's injection queue is full — surface as HTTP 503."""
+
+
+class EngineFailure(Exception):
+    """The pacer died; surface as HTTP 500 carrying its ``error_id``."""
+
+    def __init__(self, error_id: str) -> None:
+        super().__init__(f"paced engine failed (error_id={error_id})")
+        self.error_id = error_id
 
 
 def _retry_after_header(seconds: Optional[float]) -> dict:
@@ -74,9 +90,15 @@ class ArchiveServer:
         self.slow_client_timeout = slow_client_timeout
         self.request_timeout = request_timeout
         self._server: Optional[asyncio.base_events.Server] = None
-        self._stop = threading.Event()
-        self._engine_thread: Optional[threading.Thread] = None
-        self._horizon: Optional[float] = None
+        self._pacer: Optional[asyncio.Task] = None
+        #: what the pacer awaits between slices; resolved early by call_core.
+        self._wake: Optional[asyncio.Future] = None
+        #: futures handlers await and only the pacer resolves.
+        self._outstanding: Set[asyncio.Future] = set()
+        self._stopping = False
+        #: set once the pacer has failed; every engine-bound request then
+        #: gets a 500 carrying it, and run_server exits non-zero.
+        self.error_id: Optional[str] = None
         self._next_object_id = 0
 
     # ------------------------------------------------------------------ #
@@ -84,34 +106,29 @@ class ArchiveServer:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Bind the socket and start the paced engine thread."""
+        """Bind the socket and start the pacer task on this loop."""
         if self.core.config.dilation <= 0:
             raise ValueError("a live server needs dilation > 0 (paced mode)")
-        self._engine_thread = threading.Thread(
-            target=self.core.engine.serve,
-            args=(self._stop,),
-            kwargs={"horizon": self._horizon},
-            name="paced-engine",
-            daemon=True,
-        )
-        self._engine_thread.start()
+        self._pacer = asyncio.get_running_loop().create_task(self._pace())
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, stop the engine thread, close the socket."""
-        self._stop.set()
+        """Stop accepting, close the socket, stop the pacer."""
+        self._stopping = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._engine_thread is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._engine_thread.join, 5.0
-            )
-            self._engine_thread = None
+        pacer, self._pacer = self._pacer, None
+        if pacer is not None:
+            pacer.cancel()
+            try:
+                await pacer
+            except asyncio.CancelledError:
+                pass
 
     async def serve_forever(self) -> None:
         """Block until cancelled (the CLI's foreground mode)."""
@@ -121,58 +138,106 @@ class ArchiveServer:
             await self._server.serve_forever()
 
     # ------------------------------------------------------------------ #
-    # Engine-thread bridge
+    # Pacer and the bridge into it
     # ------------------------------------------------------------------ #
 
+    async def _pace(self) -> None:
+        """Run the twin in wall-paced slices until cancelled or failed.
+
+        Between slices the task awaits ``_wake``, which a timer resolves
+        when the next sim event is due (capped at ``poll_wall_seconds``)
+        and :meth:`call_core` resolves as soon as it injects a request.
+        """
+        engine = self.core.engine
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                wait = engine.run_slice()
+            except Exception:  # noqa: BLE001 - a sim failure must not hang requests
+                self._fail()
+                return
+            if wait is None or wait > engine.poll_wall_seconds:
+                wait = engine.poll_wall_seconds
+            self._wake = wake = loop.create_future()
+            timer = loop.call_later(wait, _set_result, wake, None)
+            try:
+                await wake
+            finally:
+                timer.cancel()
+
+    def _fail(self) -> None:
+        """Record the pacer's failure and fail every engine-bound wait.
+
+        Called from the pacer's ``except`` block, so the logged record
+        carries the slice's traceback.
+        """
+        self.error_id = uuid.uuid4().hex[:12]
+        self.core.counters["server_errors"] += 1
+        LOG.exception(
+            "paced engine failed (error_id=%s); engine-bound requests now get 500",
+            self.error_id,
+        )
+        for future in list(self._outstanding):
+            _set_exception(future, EngineFailure(self.error_id))
+
+    async def _resolved(self, future: asyncio.Future) -> Any:
+        """Await a future only the pacer resolves; fail fast once it died."""
+        if self.error_id is not None and not future.done():
+            raise EngineFailure(self.error_id)
+        self._outstanding.add(future)
+        try:
+            return await future
+        finally:
+            self._outstanding.discard(future)
+
     async def call_core(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` on the engine thread; await its result here.
+        """Run ``fn`` in the pacer's next slice; await its result here.
 
         Raises :class:`BackpressureError` immediately when the injection
         queue is at ``max_pending_ingress`` — the 503 path costs nothing
-        on the engine thread, which is the point of the bound.
+        in the pacer, which is the point of the bound — and
+        :class:`EngineFailure` once the pacer has died.
         """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        if self.error_id is not None:
+            raise EngineFailure(self.error_id)
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
 
         def run() -> None:
             try:
                 result = fn()
-            except BaseException as exc:  # bridge, don't kill the engine
-                loop.call_soon_threadsafe(_set_exception, future, exc)
+            except Exception as exc:  # noqa: BLE001 - bridge, don't kill the pacer
+                _set_exception(future, exc)
             else:
-                loop.call_soon_threadsafe(_set_result, future, result)
+                _set_result(future, result)
 
         if not self.core.engine.inject(run):
-            with self.core.counter_lock:
-                self.core.counters["rejected_backpressure"] += 1
+            self.core.counters["rejected_backpressure"] += 1
             raise BackpressureError()
-        return await future
+        wake = self._wake
+        if wake is not None:
+            _set_result(wake, None)
+        return await self._resolved(future)
 
     async def _await_ticket(self, make: Callable[[], Any]) -> Any:
         """Run ``make`` (a begin_read thunk) and await its completion.
 
-        The completion callback is registered on the engine thread in
-        the same injection that created the ticket, so a read can never
-        complete between creation and registration. Returns the resolved
-        :class:`ReadTicket`, or the :class:`ReadRejected` verdict.
+        The completion callback is registered in the same injection that
+        created the ticket, so a read can never complete between creation
+        and registration. Returns the resolved :class:`ReadTicket`, or
+        the :class:`ReadRejected` verdict.
         """
-        loop = asyncio.get_running_loop()
-        done: asyncio.Future = loop.create_future()
+        done: asyncio.Future = asyncio.get_running_loop().create_future()
 
         def begin() -> Any:
             outcome = make()
             if isinstance(outcome, ReadTicket):
-                outcome.on_complete(
-                    lambda ticket: loop.call_soon_threadsafe(
-                        _set_result, done, ticket
-                    )
-                )
+                outcome.on_complete(lambda ticket: _set_result(done, ticket))
             return outcome
 
         outcome = await self.call_core(begin)
         if isinstance(outcome, ReadRejected):
             return outcome
-        return await done
+        return await self._resolved(done)
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -208,8 +273,7 @@ class ArchiveServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
             pass
         except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
-            with self.core.counter_lock:
-                self.core.counters["server_errors"] += 1
+            self.core.counters["server_errors"] += 1
         finally:
             writer.close()
             try:
@@ -227,8 +291,7 @@ class ArchiveServer:
 
     def _note_slow_client(self) -> None:
         """Count a slow client and trace it (best-effort injection)."""
-        with self.core.counter_lock:
-            self.core.counters["slow_clients"] += 1
+        self.core.counters["slow_clients"] += 1
         core = self.core
         core.engine.inject(
             lambda: core.tracer.emit(
@@ -258,6 +321,10 @@ class ArchiveServer:
                 503,
                 {"error": "ingress queue full"},
                 extra_headers={"Retry-After": "1"},
+            )
+        except EngineFailure as exc:
+            return json_response(
+                500, {"error": "engine failed", "error_id": exc.error_id}
             )
         except HttpError as exc:
             return json_response(exc.status, {"error": exc.reason})
@@ -324,7 +391,7 @@ class ArchiveServer:
         )
 
     async def _handle_status(self) -> bytes:
-        """``GET /status``: the core's snapshot, taken on the engine thread."""
+        """``GET /status``: the core's snapshot, taken in a pacer slice."""
         payload = await self.call_core(self.core.status)
         return json_response(200, payload)
 
@@ -335,21 +402,20 @@ class ArchiveServer:
     async def _stream_events(self, writer: asyncio.StreamWriter) -> None:
         """NDJSON-stream tracer events until the client goes away.
 
-        Events are fanned from the engine thread into a bounded asyncio
+        Events are fanned out of the pacer's slices into a bounded asyncio
         queue; overflow drops (and counts) rather than buffering without
         bound, and a client that stops draining its socket is cut off by
         the slow-client timeout.
         """
-        loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue(maxsize=EVENTS_QUEUE_DEPTH)
 
         def on_event(event: TraceEvent) -> None:
-            loop.call_soon_threadsafe(_offer, queue, event, subscription)
+            _offer(queue, event, subscription)
 
         subscription = self.core.subscribe(on_event)
         try:
             await send_with_timeout(writer, stream_head(), self.slow_client_timeout)
-            while not self._stop.is_set():
+            while not self._stopping:
                 try:
                     event = await asyncio.wait_for(queue.get(), timeout=1.0)
                 except asyncio.TimeoutError:
@@ -396,15 +462,17 @@ def run_server(
 ) -> int:
     """Foreground entry point: serve until interrupted (or ``seconds``).
 
-    Returns a process exit code. SIGTERM/SIGINT (KeyboardInterrupt) are
-    clean shutdowns — the doc smoke-runner backgrounds a server and
-    terminates it, and that must count as success.
+    Returns a process exit code: 0 after a clean run, 1 when the pacer
+    failed (the server keeps answering 500s until it is stopped).
+    SIGTERM/SIGINT (KeyboardInterrupt) are clean shutdowns — the doc
+    smoke-runner backgrounds a server and terminates it, and that must
+    count as success.
     """
+    server = ArchiveServer(
+        core, host=host, port=port, slow_client_timeout=slow_client_timeout
+    )
 
-    async def main() -> int:
-        server = ArchiveServer(
-            core, host=host, port=port, slow_client_timeout=slow_client_timeout
-        )
+    async def main() -> None:
         await server.start()
         if ready is not None:
             ready(server)
@@ -425,9 +493,9 @@ def run_server(
                 await asyncio.Event().wait()
         finally:
             await server.stop()
-        return 0
 
     try:
-        return asyncio.run(main())
+        asyncio.run(main())
     except KeyboardInterrupt:
-        return 0
+        pass
+    return 0 if server.error_id is None else 1

@@ -137,39 +137,67 @@ def test_frames_rejects_non_positive_count():
         list(engine.frames(1.0, 0))
 
 
-def test_serve_requires_paced_mode():
+class ManualClock:
+    """A fake monotonic clock that moves only when the test sets it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def test_run_slice_requires_paced_mode():
     engine, _ = paced_engine(Simulation(), dilation=0.0)
     with pytest.raises(SimulationError):
-        engine.serve(threading.Event())
+        engine.run_slice()
 
 
-def test_serve_loop_drains_cross_thread_injections():
+def test_run_slice_drains_cross_thread_injections_at_current_sim_time():
     sim = Simulation()
-    engine = PacedEngine(sim, dilation=1000.0, poll_wall_seconds=0.005)
-    stop = threading.Event()
-    processed = threading.Event()
-    thread = threading.Thread(target=engine.serve, args=(stop,), daemon=True)
+    sim.run(until=5.0)
+    engine, _ = paced_engine(sim, dilation=2.0)
+    seen = []
+    # Injected from another thread; the callback runs inside the next
+    # slice, before the clock moves.
+    thread = threading.Thread(
+        target=engine.inject, args=(lambda: seen.append(sim.now),)
+    )
     thread.start()
-    try:
-        # Injected from this (non-engine) thread; the callback schedules
-        # real sim work, all of which runs on the engine thread.
-        engine.inject(
-            lambda: sim.schedule(0.001, processed.set, label="tick")
-        )
-        assert processed.wait(5.0), "injected event never ran"
-    finally:
-        stop.set()
-        thread.join(5.0)
+    thread.join(5.0)
     assert not thread.is_alive()
-    injected, drained, refused = engine.injection_stats
-    assert (injected, drained, refused) == (1, 1, 0)
+    assert seen == []
+    engine.run_slice()
+    assert seen == [5.0]
+    assert engine.injection_stats == (1, 1, 0)
 
 
-def test_serve_stops_at_horizon():
+def test_run_slice_never_runs_past_the_wall_due_time():
     sim = Simulation()
-    engine = PacedEngine(sim, dilation=1e6, poll_wall_seconds=0.001)
-    engine.serve(threading.Event(), horizon=50.0)
-    assert sim.now == 50.0
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda t=t: fired.append(t), label="tick")
+    clock = ManualClock()
+    engine = PacedEngine(sim, dilation=2.0, poll_wall_seconds=0.05, clock=clock)
+    # The first slice pins the origin (wall 0 = sim 0): nothing is due yet,
+    # and the next event (sim 1.0) is half a wall second away.
+    assert engine.run_slice() == pytest.approx(0.5)
+    assert fired == [] and sim.now == 0.0
+    clock.now = 1.0  # one wall second at dilation 2 -> sim 2.0 is due
+    assert engine.run_slice() == pytest.approx(0.5)
+    assert fired == [1.0, 2.0]
+    assert sim.now == 2.0
+    clock.now = 1.2
+    engine.run_slice()
+    assert fired == [1.0, 2.0]
+    assert sim.now == pytest.approx(2.4)
+
+
+def test_run_slice_on_an_empty_queue_returns_none():
+    sim = Simulation()
+    engine, _ = paced_engine(sim, dilation=1e6)
+    assert engine.run_slice() is None
+    assert sim.now > 0.0  # the clock still tracks the wall
 
 
 def test_watch_cli_pacing_is_byte_identical_to_the_old_loop():

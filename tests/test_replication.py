@@ -1,7 +1,13 @@
 """Tests for the multi-seed replication utility."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.replication import ReplicatedMetric, replicate, replicate_tail_hours
 from repro.workload.profiles import TYPICAL
@@ -18,6 +24,11 @@ class TestReplicatedMetric:
         metric = ReplicatedMetric((4.0, 5.0, 6.0, 5.5), confidence=0.95)
         low, high = metric.interval
         assert low < metric.mean < high
+
+    def test_half_width_is_the_t_interval(self):
+        metric = ReplicatedMetric((1.0, 2.0, 3.0), confidence=0.95)
+        # t(0.975, df=2) * std / sqrt(n), with std = 1 and n = 3
+        assert metric.half_width == pytest.approx(4.302652729911275 / np.sqrt(3.0))
 
     def test_single_value_zero_width(self):
         metric = ReplicatedMetric((7.0,), confidence=0.95)
@@ -65,3 +76,22 @@ class TestReplicatedSimulation:
         assert metric.std >= 0
         low, high = metric.interval
         assert low <= metric.mean <= high
+
+
+def test_entry_points_import_without_scipy():
+    """scipy loads only when a confidence interval is computed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys; import repro, repro.cli, repro.core.sim, repro.serve; "
+        "print('scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

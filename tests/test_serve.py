@@ -13,6 +13,7 @@ from repro.serve import (
     LoadSpec,
     ServeConfig,
     SoakSpec,
+    run_server,
     run_soak,
 )
 from repro.serve.core import ReadRejected, ReadTicket
@@ -23,11 +24,13 @@ from repro.serve.http import (
     read_request,
     read_response,
     render_response,
+    send_with_timeout,
     split_path,
 )
 from repro.serve.loadgen import (
     LOADGEN_SCHEMA,
     BurstSpec,
+    ClientConnection,
     closed_loop_plan,
     drive,
     object_set,
@@ -81,6 +84,114 @@ def test_read_request_rejects_malformed_line_and_huge_body():
             b"PUT /archive HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n"
         )
     assert excinfo.value.status == 413
+
+
+def test_read_request_maps_overlong_lines_to_400():
+    cases = [
+        (b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n\r\n", "request line too long"),
+        (b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 9000 + b"\r\n\r\n", "header line too long"),
+        # Beyond the stream's own 64 KiB limit readline raises ValueError,
+        # which must still be the client's 400, not a server error.
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", "request line too long"),
+        (b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", "header line too long"),
+    ]
+    for raw, reason in cases:
+        with pytest.raises(HttpError) as excinfo:
+            parse(raw)
+        assert (excinfo.value.status, excinfo.value.reason) == (400, reason)
+
+
+def test_read_request_deadline_covers_the_whole_request():
+    """Lines that each arrive in time still time out if the request doesn't."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+
+        async def trickle():
+            reader.feed_data(b"GET /status HTTP/1.1\r\n")
+            for i in range(6):
+                await asyncio.sleep(0.03)
+                reader.feed_data(b"X-Slow-%d: 1\r\n" % i)
+            reader.feed_data(b"\r\n")
+
+        feeder = asyncio.ensure_future(trickle())
+        try:
+            await read_request(reader, timeout=0.1)
+        finally:
+            await feeder
+
+    with pytest.raises(asyncio.TimeoutError):
+        asyncio.run(go())
+
+
+class FakeTransport:
+    """Write-buffer accounting of a transport, with asyncio's defaults."""
+
+    def __init__(self, buffered: int) -> None:
+        self.buffered = buffered
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
+
+    def get_write_buffer_limits(self):
+        return (16 * 1024, 64 * 1024)
+
+
+class FakeWriter:
+    """A StreamWriter whose drain completes at once or never."""
+
+    def __init__(self, buffered: int, drains: bool) -> None:
+        self.transport = FakeTransport(buffered)
+        self.drains = drains
+        self.written = []
+        self.drain_calls = 0
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+
+    async def drain(self) -> None:
+        self.drain_calls += 1
+        if not self.drains:
+            await asyncio.get_running_loop().create_future()
+
+
+def send_counting_timers(writer: FakeWriter, timeout: float):
+    """Run send_with_timeout; returns how many timers the loop armed."""
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        timers = []
+        real_call_at = loop.call_at
+
+        def call_at(when, callback, *args, **kwargs):
+            timers.append(callback)
+            return real_call_at(when, callback, *args, **kwargs)
+
+        loop.call_at = call_at
+        try:
+            await send_with_timeout(writer, b"payload", timeout)
+        finally:
+            del loop.call_at
+        return len(timers)
+
+    return asyncio.run(go())
+
+
+def test_send_with_timeout_times_out_a_client_that_stopped_reading():
+    # Above the high-water mark, and between the marks (where a paused
+    # protocol stays paused), a drain that never completes is cut off.
+    for buffered in (70_000, 20_000):
+        writer = FakeWriter(buffered=buffered, drains=False)
+        with pytest.raises(asyncio.TimeoutError):
+            send_counting_timers(writer, timeout=0.05)
+        assert writer.written == [b"payload"]
+
+
+def test_send_with_timeout_arms_no_timer_below_the_mark():
+    writer = FakeWriter(buffered=0, drains=True)
+    assert send_counting_timers(writer, timeout=5.0) == 0
+    assert writer.written == [b"payload"]
+    assert writer.drain_calls == 1
 
 
 def test_keep_alive_semantics_across_versions():
@@ -323,6 +434,153 @@ def test_live_server_end_to_end_with_loadgen():
     finally:
         box["loop"].call_soon_threadsafe(box["stop"].set)
         assert finished.wait(10.0), "server never stopped"
+
+
+def serve_live(core, scenario):
+    """Run ``scenario(server)`` against a live server on this test's loop."""
+
+    async def main():
+        server = ArchiveServer(core, port=0)
+        await server.start()
+        try:
+            return await asyncio.wait_for(scenario(server), 20.0)
+        finally:
+            await server.stop()
+
+    return asyncio.run(main())
+
+
+async def put_one(client, object_id="obj-1", size=8_000_000):
+    """PUT one object through ``client``; asserts the 201."""
+    status, _, _ = await client.request(
+        "PUT", f"/archive/{object_id}", headers={"X-Size-Bytes": str(size)}
+    )
+    assert status == 201
+
+
+def test_server_starts_no_thread():
+    core = small_core(dilation=600.0)
+
+    async def main():
+        server = ArchiveServer(core, port=0)
+        before = threading.enumerate()
+        await server.start()
+        try:
+            return before, threading.enumerate()
+        finally:
+            await server.stop()
+
+    before, after = asyncio.run(main())
+    assert after == before
+
+
+def test_overlong_header_line_is_a_400_not_a_server_error():
+    core = small_core(dilation=600.0)
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(
+            b"GET /status HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        await writer.drain()
+        try:
+            return await read_response(reader, timeout=5.0)
+        finally:
+            writer.close()
+
+    status, headers, body = serve_live(core, scenario)
+    assert status == 400
+    assert headers["connection"] == "close"
+    assert json.loads(body) == {"error": "header line too long"}
+    assert core.counters["server_errors"] == 0
+
+
+def test_events_stream_shows_a_get_issued_by_another_client():
+    core = small_core(dilation=2000.0, tenants=0)
+
+    async def scenario(server):
+        client = ClientConnection("127.0.0.1", server.port, timeout=10.0)
+        await put_one(client)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n")
+        await writer.drain()
+        # The head is sent after the subscription exists, so no event of
+        # the GET below can be missed.
+        head = await reader.readuntil(b"\r\n\r\n")
+        status, _, body = await client.request("GET", "/archive/obj-1")
+        await client.close()
+        request_id = json.loads(body)["request_id"]
+        kinds = []
+        while "serve.complete" not in kinds:
+            event = json.loads(await reader.readline())
+            if event.get("request_id") == request_id:
+                kinds.append(event["kind"])
+        writer.close()
+        return head, status, kinds
+
+    head, status, kinds = serve_live(core, scenario)
+    assert head.startswith(b"HTTP/1.1 200")
+    assert b"application/x-ndjson" in head
+    assert status == 200
+    assert kinds[0] == "serve.get"
+    assert kinds[-1] == "serve.complete"
+
+
+def boom() -> None:
+    raise RuntimeError("injected sim failure")
+
+
+def test_pacer_failure_answers_pending_and_later_requests_with_500(caplog):
+    # At dilation 1 a read takes minutes of wall time, so the GET below is
+    # still in flight when the sim event raises.
+    core = small_core(dilation=1.0, tenants=0)
+
+    async def scenario(server):
+        loop = asyncio.get_running_loop()
+        client = ClientConnection("127.0.0.1", server.port, timeout=10.0)
+        await put_one(client)
+        pending = asyncio.ensure_future(client.request("GET", "/archive/obj-1"))
+        while core.counters["reads_submitted"] == 0:
+            await asyncio.sleep(0.005)
+        failed_at = loop.time()
+        await server.call_core(lambda: core.sim.schedule(0.0, boom, label="boom"))
+        status, _, body = await pending
+        waited = loop.time() - failed_at
+        later = ClientConnection("127.0.0.1", server.port, timeout=10.0)
+        later_get = await later.request("GET", "/archive/obj-1")
+        later_status = await later.request("GET", "/status")
+        await later.close()
+        await client.close()
+        return status, json.loads(body), waited, later_get, later_status
+
+    with caplog.at_level("ERROR", logger="repro.serve.server"):
+        status, body, waited, later_get, later_status = serve_live(core, scenario)
+    assert status == 500
+    assert waited < 1.0
+    error_id = body["error_id"]
+    assert body == {"error": "engine failed", "error_id": error_id}
+    for later_code, _, later_body in (later_get, later_status):
+        assert later_code == 500
+        assert json.loads(later_body)["error_id"] == error_id
+    assert core.counters["server_errors"] == 1
+    assert core.counters["reads_completed"] == 0
+    [record] = [r for r in caplog.records if error_id in r.getMessage()]
+    assert "injected sim failure" in caplog.text
+    assert record.exc_info is not None
+
+
+def test_run_server_exit_code_reports_a_pacer_failure(capsys):
+    clean = small_core(dilation=600.0)
+    assert run_server(clean, port=0, seconds=0.2) == 0
+
+    failing = small_core(dilation=600.0)
+
+    def ready(server):
+        failing.engine.inject(lambda: failing.sim.schedule(0.0, boom, label="boom"))
+
+    assert run_server(failing, port=0, seconds=0.3, ready=ready) == 1
+    assert failing.counters["server_errors"] == 1
+    assert '"serving"' in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------- #
