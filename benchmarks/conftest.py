@@ -7,9 +7,9 @@ minutes; set ``REPRO_SCALE=full`` for paper-scale runs (12-hour measured
 intervals at full request rates).
 
 The workload definitions themselves live in :mod:`repro.bench.scenarios`
-— the same module the continuous-bench registry (``python -m repro
-bench``) runs — so the pytest suite and the perf trajectory can never
-measure different things. This file only adapts them to pytest.
+— the same module the bench registry (``python -m repro bench``) runs
+— so the pytest suite and the behaviour gate can never exercise
+different workloads. This file only adapts them to pytest.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ anti-starvation arrival term.
 The twin runs share a byte-identical trace and tenant mix; only the fetch
 policy differs. The acceptance gates — expedited p99 strictly better AND
 Jain fairness over deadline-normalized slowdown strictly better — are the
-same two encoded as 1.0/0.0 metrics in the ``qos_ablation`` continuous-
-bench scenario, so pytest and the perf trajectory enforce one condition.
+same two encoded as 1.0/0.0 metrics in the ``qos_ablation`` bench
+scenario, so pytest and the behaviour gate enforce one condition.
 """
 
 from repro.bench.scenarios import build_qos_sim, qos_ablation_metrics

@@ -7,15 +7,11 @@ deletions and cool-down 9 age-folds out gives ~1.6 reads/s, which 60 MB/s
 drives serve with a tail around 8 hours; higher-throughput drives (or more
 read racks) buy headroom for harder futures.
 
-The workload builder and the perf-capture helpers are shared with the
-continuous-bench ``fig9_full_library`` scenario (``repro.bench``), so
-"events/sec" and "peak memory" mean the same thing here as in the
-committed BENCH baselines (this single-shot capture traces memory inline,
-so its wall figure carries tracemalloc overhead the bench runner's clean
-timed repetitions avoid).
+The workload builder is shared with the ``fig9_full_library`` bench
+scenario (``repro.bench``), so this figure and the committed BENCH
+baseline replay the same library.
 """
 
-from repro.bench import PerfCapture
 from repro.bench.scenarios import (
     FIG9_RATE_READS_PER_SEC,
     build_full_library_sim,
@@ -31,9 +27,7 @@ WINDOW_HOURS = 6.0 if FULL_SCALE else 1.5
 
 def _run_full_library(mbps, seed=12):
     kernel = build_full_library_sim(mbps, WINDOW_HOURS, seed=seed)
-    with PerfCapture(kernel.ctx.sim) as capture:
-        report = kernel.run()
-    return report, capture.sample
+    return kernel.run(), kernel
 
 
 def test_fig9_full_library(once):
@@ -48,12 +42,6 @@ def test_fig9_full_library(once):
             f"median {report.completions.median / 60:5.1f} min   "
             f"({report.completions.count} requests)"
         )
-    for mbps, (_, perf) in results.items():
-        rows.append(
-            f"{mbps:3d} MB/s drives: {perf.wall_seconds:5.2f} s wall   "
-            f"{perf.events_per_second:10,.0f} events/s   "
-            f"peak {perf.peak_memory_bytes / 1e6:6.1f} MB"
-        )
     rows.append(
         f"future-projected rate {FIG9_RATE_READS_PER_SEC} reads/s over a full "
         f"library of ~100 MB files (paper: ~8 h tail at 60 MB/s)"
@@ -65,6 +53,6 @@ def test_fig9_full_library(once):
     # Higher throughput helps monotonically for this 100 MB-file workload.
     assert reports[30].completions.tail >= reports[60].completions.tail
     assert reports[60].completions.tail >= reports[120].completions.tail * 0.8
-    # The capture helpers saw the event loop run.
-    for _, perf in results.values():
-        assert perf.events_processed > 0 and perf.events_per_second > 0
+    # Every replay ran on the event loop.
+    for _, kernel in results.values():
+        assert kernel.ctx.sim.events_processed > 0

@@ -11,8 +11,8 @@ only the topology differs (3 libraries / k=2 / hedged, vs 1 library /
 k=1). The acceptance gates — replicated availability >= 99% while the
 single library drops below, with failovers and hedge wins actually
 exercised — are the same four encoded as 1.0/0.0 metrics in the
-``fleet_outage`` continuous-bench scenario, so pytest and the perf
-trajectory enforce one condition.
+``fleet_outage`` bench scenario, so pytest and the behaviour gate
+enforce one condition.
 """
 
 from repro.bench.scenarios import _fleet_outage_run, fleet_outage_metrics  # noqa: F401

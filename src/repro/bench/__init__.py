@@ -1,36 +1,34 @@
-"""Continuous benchmarking: scenario registry, runner, regression gate.
+"""Behaviour gate: scenario registry, runner, exact baseline compare.
 
-The repo's north star is "as fast as the hardware allows" — this package
-is how we know whether a PR moved toward or away from it. It turns the
-one-off scripts under ``benchmarks/`` into a *performance trajectory*:
+Every scenario is seeded and the simulator is deterministic, so a
+scenario's simulated metrics are a fingerprint of the twin's behaviour.
+This package records them and fails when one changes:
 
 - :mod:`~repro.bench.registry` — named, seeded, suite-tagged scenarios
   (``fast`` runs on every PR, ``full`` at paper scale);
 - :mod:`~repro.bench.scenarios` — the scenario definitions themselves,
   shared with ``benchmarks/conftest.py`` so pytest benchmarks and the
-  continuous suite measure identical workloads;
-- :mod:`~repro.bench.capture` — the shared wall-clock / peak-memory /
-  event-loop-throughput capture helpers;
-- :mod:`~repro.bench.runner` — warmup + N repetitions per scenario,
-  median/MAD aggregation, git-SHA + machine provenance, schema-versioned
-  ``BENCH_<scenario>.json`` artifacts;
-- :mod:`~repro.bench.compare` — noise-aware diffing against the committed
-  baselines in ``benchmarks/baselines/``: wall-clock shifts must beat a
-  MAD/relative threshold, while simulated-time metrics must match a
-  same-seed baseline *exactly* (drift is a correctness regression).
+  gate run identical workloads;
+- :mod:`~repro.bench.runner` — one bare and one monitored execution per
+  scenario, which must agree, plus git-SHA provenance and the
+  schema-versioned ``BENCH_<scenario>.json`` artifacts;
+- :mod:`~repro.bench.compare` — exact diffing against the committed
+  baselines in ``benchmarks/baselines/``: under the same seed every
+  simulated metric must match (drift is a behaviour change).
+
+Speed is not measured here: ``perfbench/`` (see ``BENCHMARK.json``)
+measures the twin end to end and per layer.
 
 CLI: ``python -m repro bench {list,run,compare,update-baseline}``.
 
-Units: wall durations are seconds, memory raw bytes, throughput events
-per wall-clock second; ``simulated_metrics`` values are simulated time.
+Units: ``simulated_metrics`` values are simulated time, counts, bytes
+and ratios.
 """
 
-from .capture import PerfCapture, PerfSample
 from .compare import (
     ComparisonReport,
     MetricComparison,
     ScenarioComparison,
-    Tolerance,
     compare_dirs,
     compare_scenario,
     load_artifact,
@@ -48,7 +46,6 @@ from .runner import (
     BenchResult,
     BenchRunner,
     git_sha,
-    machine_fingerprint,
 )
 from .scenarios import (
     BENCH_SCALE,
@@ -63,12 +60,9 @@ from .scenarios import (
 )
 
 __all__ = [
-    "PerfCapture",
-    "PerfSample",
     "ComparisonReport",
     "MetricComparison",
     "ScenarioComparison",
-    "Tolerance",
     "compare_dirs",
     "compare_scenario",
     "load_artifact",
@@ -82,7 +76,6 @@ __all__ = [
     "BenchResult",
     "BenchRunner",
     "git_sha",
-    "machine_fingerprint",
     "BENCH_SCALE",
     "FULL_SCALE",
     "SMALL_SCALE",

@@ -1,22 +1,16 @@
-"""Noise-aware regression detection between bench artifacts.
+"""Exact behaviour comparison between bench artifacts.
 
-The comparator answers one question per metric: *is the candidate's shift
-beyond what run-to-run noise explains?* Wall-clock metrics are judged by a
-median-shift test — the shift must exceed
-``max(mad_factor * max(MADs), rel_tolerance * baseline, abs_floor)``
-before it counts, and direction decides regression vs improvement
-(wall time and peak memory: up is bad; events/sec: down is bad).
-
-Simulated-time metrics are different in kind: the simulator is
-deterministic, so for a same-seed comparison they must match **exactly**.
-Any difference is a :data:`DRIFT` verdict — a behaviour change (perhaps an
+The simulator is deterministic, so for a same-seed comparison every
+simulated-time metric must match its baseline **exactly**. Any
+difference is a :data:`DRIFT` verdict — a behaviour change (perhaps an
 intended one, in which case the baseline is updated deliberately), never
-noise. When seeds differ the simulated comparison is skipped.
+noise. A metric present on only one side is drift too: a gate that
+disappears must not pass silently. When seeds differ the comparison is
+skipped.
 
 Exit-code policy lives in :meth:`ComparisonReport.exit_code`: drift and
-simulated-metric trouble always fail; wall-clock regressions fail unless
-``wall_warn_only`` (the CI perf job's mode — baselines are measured on
-different machines than CI runners).
+a scenario missing from the candidate run fail. Speed is not compared
+here; ``perfbench/`` measures it (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -25,42 +19,15 @@ import glob
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .registry import BenchError
 from .runner import BENCH_SCHEMA_VERSION
 
-# Verdicts, roughly worst-first.
-DRIFT = "drift"  # simulated metric changed under the same seed
-REGRESSION = "regression"
-IMPROVEMENT = "improvement"
-WITHIN_NOISE = "within-noise"
-MATCH = "match"  # simulated metric identical
-SKIPPED = "skipped"  # seeds differ / metric absent on one side
-
-#: perf metric -> True when a higher value is better.
-PERF_METRICS: Dict[str, bool] = {
-    "wall_seconds": False,
-    "peak_memory_bytes": False,
-    "events_per_second": True,
-}
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Noise thresholds for the wall-clock metrics."""
-
-    rel: float = 0.10  # fraction of the baseline median
-    mad_factor: float = 4.0  # multiples of the larger MAD
-    abs_floor: float = 0.005  # absolute floor (seconds / fraction-scale)
-
-    def threshold(self, baseline_median: float, mads: Tuple[float, float]) -> float:
-        """The shift a metric must exceed before it counts as real."""
-        return max(
-            self.mad_factor * max(mads),
-            self.rel * abs(baseline_median),
-            self.abs_floor,
-        )
+# Verdicts, worst first.
+DRIFT = "drift"  # changed, or present on one side only, under the same seed
+MATCH = "match"  # identical under the same seed
+SKIPPED = "skipped"  # seeds differ
 
 
 @dataclass
@@ -71,7 +38,6 @@ class MetricComparison:
     baseline: Optional[float]
     candidate: Optional[float]
     verdict: str
-    threshold: float = 0.0
 
     @property
     def delta(self) -> float:
@@ -109,9 +75,8 @@ class ScenarioComparison:
 
     def worst(self) -> str:
         """The scenario's most severe verdict (drift worst, skipped least)."""
-        order = [DRIFT, REGRESSION, IMPROVEMENT, WITHIN_NOISE, MATCH, SKIPPED]
         verdicts = {c.verdict for c in self.comparisons}
-        for verdict in order:
+        for verdict in (DRIFT, MATCH):
             if verdict in verdicts:
                 return verdict
         return SKIPPED
@@ -119,14 +84,6 @@ class ScenarioComparison:
     def has(self, verdict: str) -> bool:
         """Whether any metric of this scenario carries ``verdict``."""
         return any(c.verdict == verdict for c in self.comparisons)
-
-    def wall_only_regressions(self) -> bool:
-        """True when every regression is a wall-clock (machine-bound) one."""
-        return all(
-            c.metric in PERF_METRICS
-            for c in self.comparisons
-            if c.verdict == REGRESSION
-        )
 
 
 @dataclass
@@ -137,17 +94,11 @@ class ComparisonReport:
     missing_in_candidate: List[str] = field(default_factory=list)
     missing_in_baseline: List[str] = field(default_factory=list)
 
-    def exit_code(self, wall_warn_only: bool = False) -> int:
-        """0 = clean. Drift always fails; wall regressions obey the flag."""
+    def exit_code(self) -> int:
+        """0 = clean; 1 on drift or a scenario missing from the candidate."""
         if self.missing_in_candidate:
             return 1
-        for scenario in self.scenarios:
-            if scenario.has(DRIFT):
-                return 1
-            if scenario.has(REGRESSION):
-                if not (wall_warn_only and scenario.wall_only_regressions()):
-                    return 1
-        return 0
+        return 1 if any(s.has(DRIFT) for s in self.scenarios) else 0
 
     def format(self, verbose: bool = False) -> str:
         """Human table: per-scenario verdicts, flagged metrics, totals."""
@@ -156,15 +107,10 @@ class ComparisonReport:
         for scenario in self.scenarios:
             worst = scenario.worst()
             counts[worst] = counts.get(worst, 0) + 1
-            marker = {
-                DRIFT: "!!",
-                REGRESSION: "--",
-                IMPROVEMENT: "++",
-            }.get(worst, "ok")
+            marker = "!!" if worst == DRIFT else "ok"
             lines.append(f"  [{marker}] {scenario.scenario:<26s} {worst}")
             for comparison in scenario.comparisons:
-                interesting = comparison.verdict in (DRIFT, REGRESSION, IMPROVEMENT)
-                if verbose or interesting:
+                if verbose or comparison.verdict == DRIFT:
                     lines.append(comparison.row())
         for name in self.missing_in_candidate:
             lines.append(f"  [!!] {name:<26s} missing from candidate run")
@@ -177,17 +123,8 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _stat_median(doc: Dict[str, Any], metric: str) -> Tuple[Optional[float], float]:
-    entry = doc.get(metric)
-    if not isinstance(entry, dict):
-        return None, 0.0
-    return entry.get("median"), float(entry.get("mad", 0.0))
-
-
 def compare_scenario(
-    baseline: Dict[str, Any],
-    candidate: Dict[str, Any],
-    tolerance: Tolerance = Tolerance(),
+    baseline: Dict[str, Any], candidate: Dict[str, Any]
 ) -> ScenarioComparison:
     """Compare two BENCH documents for the same scenario."""
     for doc, side in ((baseline, "baseline"), (candidate, "candidate")):
@@ -200,47 +137,20 @@ def compare_scenario(
     result = ScenarioComparison(
         scenario=str(candidate.get("scenario")), seed_matched=seed_matched
     )
-
-    # Wall-clock class: noise-aware median-shift test.
-    for metric, higher_is_better in sorted(PERF_METRICS.items()):
-        base_median, base_mad = _stat_median(baseline, metric)
-        cand_median, cand_mad = _stat_median(candidate, metric)
-        if base_median is None or cand_median is None:
-            result.comparisons.append(
-                MetricComparison(metric, base_median, cand_median, SKIPPED)
-            )
-            continue
-        threshold = tolerance.threshold(base_median, (base_mad, cand_mad))
-        shift = cand_median - base_median
-        if abs(shift) <= threshold:
-            verdict = WITHIN_NOISE
-        elif (shift > 0) == higher_is_better:
-            verdict = IMPROVEMENT
-        else:
-            verdict = REGRESSION
-        result.comparisons.append(
-            MetricComparison(metric, base_median, cand_median, verdict, threshold)
-        )
-
-    # Simulated-time class: exact match required under the same seed.
     base_sim = baseline.get("simulated_metrics") or {}
     cand_sim = candidate.get("simulated_metrics") or {}
     for name in sorted(set(base_sim) | set(cand_sim)):
         base_value = base_sim.get(name)
         cand_value = cand_sim.get(name)
-        full_name = f"sim:{name}"
-        if not seed_matched or base_value is None or cand_value is None:
-            result.comparisons.append(
-                MetricComparison(full_name, base_value, cand_value, SKIPPED)
-            )
-        elif base_value == cand_value:
-            result.comparisons.append(
-                MetricComparison(full_name, base_value, cand_value, MATCH)
-            )
+        if not seed_matched:
+            verdict = SKIPPED
+        elif name in base_sim and name in cand_sim and base_value == cand_value:
+            verdict = MATCH
         else:
-            result.comparisons.append(
-                MetricComparison(full_name, base_value, cand_value, DRIFT)
-            )
+            verdict = DRIFT
+        result.comparisons.append(
+            MetricComparison(f"sim:{name}", base_value, cand_value, verdict)
+        )
     return result
 
 
@@ -278,7 +188,6 @@ def load_artifact_dir(
 def compare_dirs(
     baseline_dir: str,
     candidate_dir: str,
-    tolerance: Tolerance = Tolerance(),
     names: Optional[List[str]] = None,
 ) -> ComparisonReport:
     """Compare every candidate artifact against its committed baseline.
@@ -304,6 +213,6 @@ def compare_dirs(
             report.missing_in_baseline.append(name)
         else:
             report.scenarios.append(
-                compare_scenario(baselines[name], candidates[name], tolerance)
+                compare_scenario(baselines[name], candidates[name])
             )
     return report

@@ -1,11 +1,11 @@
 """Benchmark scenario registry: named, seeded, suite-tagged workloads.
 
-A :class:`Scenario` is the unit of continuous benchmarking: a name, a
-suite tag (``fast`` scenarios run on every PR, ``full`` at paper scale),
-an explicit seed, warmup/repetition counts, and a zero-argument ``build``
-callable producing a fresh :class:`ScenarioRun` per repetition. Keeping
-``build`` cheap and the work inside :meth:`ScenarioRun.execute` is what
-makes wall-clock numbers honest — setup cost is excluded.
+A :class:`Scenario` is the unit of the behaviour gate: a name, a suite
+tag (``fast`` scenarios run on every PR, ``full`` at paper scale), an
+explicit seed, and a zero-argument ``build`` callable producing a fresh
+:class:`ScenarioRun` per execution. The runner builds every scenario
+twice — one bare execution, one monitored — so ``build`` must not share
+mutable state between the runs it returns.
 
 The registry is just a name -> scenario map with duplicate protection;
 :func:`repro.bench.scenarios.default_registry` populates it with the
@@ -28,31 +28,20 @@ class BenchError(RuntimeError):
 
 @dataclass
 class ScenarioRun:
-    """One prepared repetition of a scenario.
+    """One prepared execution of a scenario.
 
-    ``execute`` performs the measured work and returns the scenario's
-    headline *simulated-time* metrics (a flat name -> number mapping that
-    must be bit-identical across repetitions of the same seed).
-    ``simulation`` optionally exposes the underlying event engine so the
-    runner can attach a profiler and count events; it is ``None`` for
-    scenarios that do not use the discrete-event simulator.
-    ``kernel`` optionally exposes the :class:`~repro.core.sim.SimKernel`
-    behind ``simulation`` so the runner's instrumented pass can attach a
-    sim-time :class:`~repro.observability.monitor.TimeSeriesMonitor`
-    (``None`` for scenarios without a library kernel; clean timed
-    repetitions never touch it).
-    ``extra`` (optional) is called by the runner after the timed
-    repetitions and its payload is stored verbatim under the artifact's
-    ``"extra"`` key — the home for informational, possibly wall-clock
-    data (e.g. a per-cell throughput curve) that must *not* be gated:
-    the comparator only reads the perf-metric and ``simulated_metrics``
-    keys, so the block is ignored by regression checks.
+    ``execute`` performs the work and returns the scenario's headline
+    *simulated-time* metrics (a flat name -> number mapping that must be
+    bit-identical across executions of the same seed).
+    ``kernel`` optionally exposes the run's
+    :class:`~repro.core.sim.SimKernel` so the runner's monitored
+    execution can attach a sim-time
+    :class:`~repro.observability.monitor.TimeSeriesMonitor` (``None``
+    for scenarios without a library kernel).
     """
 
     execute: Callable[[], Dict[str, float]]
-    simulation: Optional[Any] = None
     kernel: Optional[Any] = None
-    extra: Optional[Callable[[], Dict[str, Any]]] = None
 
 
 @dataclass(frozen=True)
@@ -64,18 +53,12 @@ class Scenario:
     suite: str
     seed: int
     build: Callable[[], ScenarioRun]
-    repetitions: int = 3
-    warmup: int = 1
 
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
             raise BenchError(
                 f"scenario {self.name!r}: suite must be one of {SUITES}, got {self.suite!r}"
             )
-        if self.repetitions < 1:
-            raise BenchError(f"scenario {self.name!r}: repetitions must be >= 1")
-        if self.warmup < 0:
-            raise BenchError(f"scenario {self.name!r}: warmup must be >= 0")
 
 
 class ScenarioRegistry:
@@ -98,13 +81,9 @@ class ScenarioRegistry:
         suite: str,
         seed: int,
         build: Callable[[], ScenarioRun],
-        repetitions: int = 3,
-        warmup: int = 1,
     ) -> Scenario:
         """Convenience constructor-and-register in one call."""
-        return self.register(
-            Scenario(name, description, suite, seed, build, repetitions, warmup)
-        )
+        return self.register(Scenario(name, description, suite, seed, build))
 
     def get(self, name: str) -> Scenario:
         """The scenario registered under ``name`` (BenchError if unknown)."""

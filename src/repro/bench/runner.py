@@ -1,22 +1,19 @@
-"""Benchmark runner: execute scenarios, aggregate, stamp provenance.
+"""Benchmark runner: execute scenarios, check them, stamp provenance.
 
-For each scenario the runner performs ``warmup`` unmeasured executions,
-then ``repetitions`` *clean* timed ones (no allocation tracking, no
-observer hooks — wall time and events/sec measure the scenario, not the
-instrumentation), then one *instrumented* pass with ``tracemalloc``, a
-:class:`~repro.observability.profiler.PhaseProfiler` and (when the
-scenario exposes its kernel) a sim-time
-:class:`~repro.observability.monitor.TimeSeriesMonitor` attached, which
-contributes peak memory, the top-K hot spots, the per-subsystem wall-share
-table, and the run's gauge timeseries. Timing aggregation is
-median + MAD (median absolute deviation) — the robust pair the comparator's
-noise model is built on — with raw samples kept in the artifact so a
-future reader can re-derive anything.
+The runner is a behaviour gate, not a stopwatch. For each scenario it
+builds two fresh :class:`~repro.bench.registry.ScenarioRun` objects and
+executes the first *bare*, the second *monitored*: when the scenario
+exposes its kernel, a sim-time
+:class:`~repro.observability.monitor.TimeSeriesMonitor` is attached
+first and its gauge series becomes the artifact's ``timeseries`` block.
+Both executions must return identical simulated metrics; a mismatch
+raises :class:`~repro.bench.registry.BenchError`, because it means the
+scenario is not deterministic (it could never be baselined) or the
+monitor disturbed the run it watched.
 
-Simulated-time metrics are required to be bit-identical across
-repetitions (same process, same seed); a mismatch raises
-:class:`~repro.bench.registry.BenchError` because it means the scenario is
-not actually deterministic and could never be baselined.
+No wall clock is read here. How fast the twin runs is measured by
+``perfbench/`` (see ``BENCHMARK.json``), whose traced layer times add up
+to the traced wall.
 
 The artifact schema (``BENCH_SCHEMA_VERSION``) is the cross-run contract:
 bump it on any breaking key change, and keep
@@ -25,38 +22,20 @@ bump it on any breaking key change, and keep
 
 from __future__ import annotations
 
-import platform
 import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..observability.monitor import TimeSeriesMonitor
-from ..observability.profiler import PhaseProfiler
-from .capture import PerfCapture, PerfSample
 from .registry import BenchError, Scenario, ScenarioRegistry
 
 #: Version stamp of the BENCH_*.json artifact schema.
-BENCH_SCHEMA_VERSION = "repro.bench/1"
+BENCH_SCHEMA_VERSION = "repro.bench/2"
 
-#: Hot-spot rows recorded per artifact.
-DEFAULT_TOP_HOTSPOTS = 8
-
-#: Sim-seconds between monitor samples on the instrumented pass. The
+#: Sim-seconds between monitor samples on the monitored execution. The
 #: monitor's halving downsampler bounds the reservoir, so one fixed
 #: cadence serves seconds-scale and paper-scale scenarios alike.
 MONITOR_INTERVAL_SECONDS = 30.0
-
-
-def machine_fingerprint() -> Dict[str, Any]:
-    """Where a result was measured (wall-clock numbers are machine-bound)."""
-    import os
-
-    return {
-        "cpu_count": os.cpu_count() or 0,
-        "machine": platform.machine(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
 
 
 def git_sha(short: bool = True) -> str:
@@ -74,50 +53,17 @@ def git_sha(short: bool = True) -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def median(values: List[float]) -> float:
-    """Median without numpy (keeps artifacts reproducible to read)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mad(values: List[float]) -> float:
-    """Median absolute deviation — the runner's robust noise estimate."""
-    if len(values) < 2:
-        return 0.0
-    center = median(values)
-    return median([abs(v - center) for v in values])
-
-
-def _stat(samples: List[float]) -> Dict[str, Any]:
-    return {"mad": mad(samples), "median": median(samples), "samples": samples}
-
-
 @dataclass
 class BenchResult:
-    """One scenario's aggregated measurement, ready to serialize."""
+    """One scenario's checked outcome, ready to serialize."""
 
     scenario: str
     description: str
     suite: str
     seed: int
-    repetitions: int
-    warmup: int
     sha: str
-    machine: Dict[str, Any]
-    wall_seconds: List[float] = field(default_factory=list)
-    peak_memory_bytes: List[float] = field(default_factory=list)
-    events_per_second: List[float] = field(default_factory=list)
-    events_processed: Optional[int] = None
     simulated_metrics: Dict[str, float] = field(default_factory=dict)
-    hotspots: List[Dict[str, Any]] = field(default_factory=list)
-    subsystem_wall: List[Dict[str, Any]] = field(default_factory=list)
     timeseries: Optional[Dict[str, Any]] = None
-    extra: Optional[Dict[str, Any]] = None
 
     def as_dict(self) -> Dict[str, Any]:
         """Stable-keyed artifact payload (the BENCH_*.json contract)."""
@@ -127,126 +73,55 @@ class BenchResult:
             "description": self.description,
             "suite": self.suite,
             "seed": self.seed,
-            "repetitions": self.repetitions,
-            "warmup": self.warmup,
             "git_sha": self.sha,
-            "machine": self.machine,
-            "events_processed": self.events_processed,
-            "hotspots": self.hotspots,
             "simulated_metrics": dict(sorted(self.simulated_metrics.items())),
-            "wall_seconds": _stat(self.wall_seconds),
-            "peak_memory_bytes": _stat(self.peak_memory_bytes),
         }
-        payload["events_per_second"] = (
-            _stat(self.events_per_second) if self.events_per_second else None
-        )
-        # Both blocks come off the instrumented pass only; like "extra",
-        # the comparator ignores them (wall shares are machine-bound and
-        # the timeseries carries its own schema stamp).
-        payload["subsystem_wall"] = self.subsystem_wall
+        # The timeseries carries its own schema stamp; the comparator
+        # ignores it.
         if self.timeseries is not None:
             payload["timeseries"] = self.timeseries
-        if self.extra is not None:
-            # Informational only: the comparator reads the perf-metric and
-            # simulated_metrics keys and ignores this block entirely.
-            payload["extra"] = self.extra
         return payload
 
     def summary(self) -> str:
-        """One human line: the numbers a PR author scans first."""
-        wall = median(self.wall_seconds)
-        mem = median(self.peak_memory_bytes) / 1e6
-        parts = [
-            f"{self.scenario:<26s} wall {wall:7.3f}s ±{mad(self.wall_seconds):.3f}",
-            f"peak {mem:7.1f} MB",
-        ]
-        if self.events_per_second:
-            parts.append(f"{median(self.events_per_second):>10,.0f} ev/s")
-        return "  ".join(parts)
+        """One human line: what was checked for this scenario."""
+        line = (
+            f"{self.scenario:<26s} seed={self.seed:<3d} "
+            f"metrics={len(self.simulated_metrics):<3d}"
+        )
+        if self.timeseries is not None:
+            line += f" monitor samples={self.timeseries['samples']}"
+        return line
 
 
 class BenchRunner:
     """Runs registry scenarios and produces :class:`BenchResult` objects."""
 
-    def __init__(
-        self,
-        registry: ScenarioRegistry,
-        repetitions: Optional[int] = None,
-        warmup: Optional[int] = None,
-        top_hotspots: int = DEFAULT_TOP_HOTSPOTS,
-    ) -> None:
+    def __init__(self, registry: ScenarioRegistry) -> None:
         self.registry = registry
-        self.repetitions = repetitions  # None -> per-scenario default
-        self.warmup = warmup
-        self.top_hotspots = top_hotspots
         self._sha = git_sha()
-        self._machine = machine_fingerprint()
 
     def run_scenario(self, scenario: Scenario) -> BenchResult:
-        """Warm up, time ``repetitions`` clean passes, instrument one more."""
-        repetitions = self.repetitions or scenario.repetitions
-        warmup = scenario.warmup if self.warmup is None else self.warmup
-        for _ in range(warmup):
-            scenario.build().execute()
-
+        """Execute ``scenario`` bare, then monitored; require equal metrics."""
+        metrics = scenario.build().execute()
+        run = scenario.build()
+        monitor: Optional[TimeSeriesMonitor] = None
+        if run.kernel is not None:
+            monitor = TimeSeriesMonitor(MONITOR_INTERVAL_SECONDS)
+            monitor.attach(run.kernel)
+        if run.execute() != metrics:
+            raise BenchError(
+                f"scenario {scenario.name!r} is not deterministic: the "
+                f"monitored execution changed simulated metrics "
+                f"(seed {scenario.seed})"
+            )
         result = BenchResult(
             scenario=scenario.name,
             description=scenario.description,
             suite=scenario.suite,
             seed=scenario.seed,
-            repetitions=repetitions,
-            warmup=warmup,
             sha=self._sha,
-            machine=self._machine,
+            simulated_metrics=dict(metrics),
         )
-        # Clean timed repetitions: nothing attached that could distort
-        # wall time or events/sec.
-        for rep in range(repetitions):
-            run = scenario.build()
-            with PerfCapture(run.simulation, trace_memory=False) as capture:
-                metrics = run.execute()
-            sample: PerfSample = capture.sample
-            result.wall_seconds.append(sample.wall_seconds)
-            if sample.events_per_second is not None:
-                result.events_per_second.append(sample.events_per_second)
-                result.events_processed = sample.events_processed
-            if rep == 0:
-                result.simulated_metrics = dict(metrics)
-            elif metrics != result.simulated_metrics:
-                raise BenchError(
-                    f"scenario {scenario.name!r} is not deterministic: "
-                    f"repetition {rep} changed simulated metrics "
-                    f"(seed {scenario.seed})"
-                )
-        # The extra block is taken from the last clean repetition so any
-        # wall-clock data in it (throughput curves) stays undistorted.
-        if run.extra is not None:
-            result.extra = run.extra()
-        # One instrumented pass: tracemalloc peak, wall-clock hot spots
-        # with per-subsystem attribution, and the sim-time monitor when
-        # the scenario exposes its kernel. Its (distorted) wall time is
-        # deliberately not recorded, and the determinism re-check below
-        # also proves the attached instruments left every simulated
-        # metric untouched.
-        run = scenario.build()
-        profiler = PhaseProfiler()
-        if run.simulation is not None:
-            profiler.install(run.simulation)
-        monitor: Optional[TimeSeriesMonitor] = None
-        if run.kernel is not None:
-            monitor = TimeSeriesMonitor(MONITOR_INTERVAL_SECONDS)
-            monitor.attach(run.kernel)
-        with PerfCapture(run.simulation, trace_memory=True) as capture:
-            metrics = run.execute()
-        if metrics != result.simulated_metrics:
-            raise BenchError(
-                f"scenario {scenario.name!r} is not deterministic: "
-                f"instrumented pass changed simulated metrics "
-                f"(seed {scenario.seed})"
-            )
-        result.peak_memory_bytes.append(float(capture.sample.peak_memory_bytes))
-        result.hotspots = profiler.to_dict(top=self.top_hotspots)["hotspots"]
-        result.subsystem_wall = profiler.subsystem_table()
         if monitor is not None and len(monitor):
             result.timeseries = monitor.as_dict()
         return result

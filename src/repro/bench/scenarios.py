@@ -2,8 +2,8 @@
 
 Historically each script under ``benchmarks/`` hand-rolled its own
 simulator setup; this module centralizes those definitions so the pytest
-benchmarks (via ``benchmarks/conftest.py``) and the continuous-bench
-registry (``python -m repro bench``) run *the same* workloads:
+benchmarks (via ``benchmarks/conftest.py``) and the bench registry
+(``python -m repro bench``) run *the same* workloads:
 
 * :class:`BenchScale` + :func:`scale_for` — the paper-scale vs
   minutes-scale knobs previously private to ``conftest.py``;
@@ -23,7 +23,7 @@ behaviour change, never noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..core.metrics import SimulationReport
 from ..core.sim import SimConfig, SimKernel
@@ -74,7 +74,7 @@ SMALL_SCALE = BenchScale(
     num_platters=1200,
 )
 
-#: Seconds-scale: per-repetition budget of the continuous ``fast`` suite.
+#: Seconds-scale: per-execution budget of the ``fast`` gate suite.
 BENCH_SCALE = BenchScale(
     interval_hours=0.75,
     warmup_hours=0.125,
@@ -169,7 +169,7 @@ def headline_metrics(report: SimulationReport) -> Dict[str, float]:
 
 
 # ------------------------------------------------------------------ #
-# Scenario builders (each returns a fresh ScenarioRun per repetition)
+# Scenario builders (each returns a fresh ScenarioRun per execution)
 # ------------------------------------------------------------------ #
 
 
@@ -178,18 +178,14 @@ def _library_profile_run(profile_name: str, scale: BenchScale, seed: int) -> Sce
 
     kernel = build_library_sim(profile_by_name(profile_name), scale=scale, seed=seed)
     return ScenarioRun(
-        execute=lambda: headline_metrics(kernel.run()),
-        simulation=kernel.ctx.sim,
-        kernel=kernel,
+        execute=lambda: headline_metrics(kernel.run()), kernel=kernel
     )
 
 
 def _full_library_run(mbps: float, window_hours: float, seed: int) -> ScenarioRun:
     kernel = build_full_library_sim(mbps, window_hours, seed=seed)
     return ScenarioRun(
-        execute=lambda: headline_metrics(kernel.run()),
-        simulation=kernel.ctx.sim,
-        kernel=kernel,
+        execute=lambda: headline_metrics(kernel.run()), kernel=kernel
     )
 
 
@@ -214,9 +210,7 @@ def _chaos_run(scale: BenchScale, seed: int) -> ScenarioRun:
     )
     kernel.faults.apply_fault_schedule(schedule)
     return ScenarioRun(
-        execute=lambda: headline_metrics(kernel.run()),
-        simulation=kernel.ctx.sim,
-        kernel=kernel,
+        execute=lambda: headline_metrics(kernel.run()), kernel=kernel
     )
 
 
@@ -242,7 +236,7 @@ def _event_loop_run(num_events: int, seed: int) -> ScenarioRun:
             "simulated_seconds": sim.now,
         }
 
-    return ScenarioRun(execute=execute, simulation=sim)
+    return ScenarioRun(execute=execute)
 
 
 def _workload_run(days: int, seed: int) -> ScenarioRun:
@@ -364,7 +358,6 @@ def _qos_ablation_run(scale: BenchScale, seed: int) -> ScenarioRun:
         execute=lambda: qos_ablation_metrics(
             kernels["arrival"].run(), kernels["deadline"].run()
         ),
-        simulation=kernels["deadline"].ctx.sim,
         kernel=kernels["deadline"],
     )
 
@@ -457,14 +450,10 @@ SWEEP_RATE_FACTORS = (0.25, 0.5)
 def _dispatch_sweep_run(seed: int) -> ScenarioRun:
     """The dispatch scale sweep: one short run per (size, rate) cell.
 
-    Each cell is an independent seconds-scale IOPS run; the deterministic
-    per-cell outcomes (completions, p50, dispatch pass/short-circuit/
-    assignment counters) become simulated metrics, while the wall-bound
-    events/s-vs-library-size curve goes into the artifact's ``extra``
-    block, which the comparator ignores.
+    Each cell is an independent seconds-scale IOPS run; its
+    deterministic outcomes (completions, p50, dispatch pass/short-circuit/
+    assignment counters) become simulated metrics.
     """
-    from time import perf_counter
-
     from ..workload.profiles import IOPS
 
     cells = []
@@ -484,18 +473,13 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
                 num_drives=drives,
                 num_shuttles=drives,
             )
-            cells.append((platters, drives, rate, kernel))
-    curve: List[Dict[str, float]] = []
+            cells.append((platters, rate, kernel))
 
     def execute() -> Dict[str, float]:
-        del curve[:]
         metrics: Dict[str, float] = {}
-        for platters, drives, rate, kernel in cells:
-            t0 = perf_counter()
+        for platters, rate, kernel in cells:
             report = kernel.run()
-            wall = perf_counter() - t0
             counters = kernel.ctx.counters
-            events = kernel.ctx.sim.events_processed
             key = f"p{platters}_r{int(rate * 100)}"
             metrics[f"{key}_requests_completed"] = float(report.requests_completed)
             metrics[f"{key}_completion_p50_seconds"] = report.completions.median
@@ -506,32 +490,19 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
             metrics[f"{key}_dispatch_assignments"] = (
                 counters.dispatch_assignments.value
             )
-            curve.append(
-                {
-                    "num_platters": float(platters),
-                    "num_drives": float(drives),
-                    "rate_factor": rate,
-                    "events_processed": float(events),
-                    "wall_seconds": wall,
-                    "events_per_second": events / wall if wall > 0 else 0.0,
-                }
-            )
         return metrics
 
-    return ScenarioRun(execute=execute, extra=lambda: {"curve": list(curve)})
+    return ScenarioRun(execute=execute)
 
 
 def _motion_sweep_run(seed: int) -> ScenarioRun:
     """The motion event sweep: fine vs closed-form trips across sizes.
 
     One cell per (size, motion mode). Each cell's completions, p50, and
-    event/engine counts are deterministic and EXACT-gated; the committed
+    event count are deterministic and EXACT-gated; the committed
     baseline therefore pins the coarse path's event savings (its
     ``events_processed`` is the structural win) as well as its replay.
-    The events/s comparison per mode goes into ``extra``.
     """
-    from time import perf_counter
-
     from ..workload.profiles import IOPS
 
     cells = []
@@ -553,39 +524,27 @@ def _motion_sweep_run(seed: int) -> ScenarioRun:
                 fine_motion_events=(mode == "fine"),
             )
             cells.append((platters, mode, kernel))
-    curve: List[Dict[str, float]] = []
 
     def execute() -> Dict[str, float]:
-        del curve[:]
         metrics: Dict[str, float] = {}
         for platters, mode, kernel in cells:
-            t0 = perf_counter()
             report = kernel.run()
-            wall = perf_counter() - t0
-            events = kernel.ctx.sim.events_processed
             key = f"p{platters}_{mode}"
             metrics[f"{key}_requests_completed"] = float(report.requests_completed)
             metrics[f"{key}_completion_p50_seconds"] = report.completions.median
-            metrics[f"{key}_events_processed"] = float(events)
-            curve.append(
-                {
-                    "num_platters": float(platters),
-                    "mode": mode,
-                    "events_processed": float(events),
-                    "wall_seconds": wall,
-                    "events_per_second": events / wall if wall > 0 else 0.0,
-                }
+            metrics[f"{key}_events_processed"] = float(
+                kernel.ctx.sim.events_processed
             )
         return metrics
 
-    return ScenarioRun(execute=execute, extra=lambda: {"curve": list(curve)})
+    return ScenarioRun(execute=execute)
 
 
 def build_serve_soak(seed: int):
     """The serve_soak scenario's (core, spec) pair, identically tuned.
 
     Free-running (dilation 0), sampling off — the bench runner owns the
-    kernel's single sampler slot during its instrumented pass. The quota
+    kernel's single sampler slot during its monitored execution. The quota
     is tuned so every reject is refill-driven (finite ``Retry-After``,
     retry eventually admitted, zero skips): the burst depth comfortably
     exceeds the largest soak object, and the refill rate is low enough
@@ -618,11 +577,7 @@ def _serve_soak_run(seed: int) -> ScenarioRun:
     from ..serve import run_soak
 
     core, spec = build_serve_soak(seed)
-    return ScenarioRun(
-        execute=lambda: run_soak(core, spec),
-        simulation=core.sim,
-        kernel=core.kernel,
-    )
+    return ScenarioRun(execute=lambda: run_soak(core, spec), kernel=core.kernel)
 
 
 def _archive_run(payload_bytes: int, seed: int) -> ScenarioRun:
@@ -656,8 +611,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=0,
         build=lambda: _event_loop_run(50_000, seed=0),
-        repetitions=3,
-        warmup=1,
     )
     registry.add(
         "workload_characterization",
@@ -665,8 +618,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=42,
         build=lambda: _workload_run(60, seed=42),
-        repetitions=3,
-        warmup=1,
     )
     registry.add(
         "archive_roundtrip",
@@ -674,8 +625,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=7,
         build=lambda: _archive_run(4096, seed=7),
-        repetitions=3,
-        warmup=1,
     )
     registry.add(
         "simulate_iops",
@@ -683,8 +632,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=0,
         build=lambda: _library_profile_run("IOPS", BENCH_SCALE, seed=0),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "simulate_typical",
@@ -692,8 +639,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=0,
         build=lambda: _library_profile_run("Typical", BENCH_SCALE, seed=0),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "chaos_faults",
@@ -701,8 +646,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=3,
         build=lambda: _chaos_run(BENCH_SCALE, seed=3),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "qos_ablation",
@@ -710,8 +653,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=5,
         build=lambda: _qos_ablation_run(BENCH_SCALE, seed=5),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "fleet_outage",
@@ -719,17 +660,13 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=9,
         build=lambda: _fleet_outage_run(BENCH_SCALE, seed=9),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "dispatch_scale_sweep",
-        "dispatch throughput curve over library size x request rate",
+        "dispatch counters over library size x request rate",
         suite="fast",
         seed=4,
         build=lambda: _dispatch_sweep_run(seed=4),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "motion_event_sweep",
@@ -737,8 +674,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=4,
         build=lambda: _motion_sweep_run(seed=4),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "serve_soak",
@@ -746,8 +681,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=11,
         build=lambda: _serve_soak_run(seed=11),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "fig9_full_library",
@@ -755,8 +688,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=12,
         build=lambda: _full_library_run(60.0, 0.75, seed=12),
-        repetitions=2,
-        warmup=0,
     )
     registry.add(
         "simulate_iops_full",
@@ -764,8 +695,6 @@ def default_registry() -> ScenarioRegistry:
         suite="full",
         seed=0,
         build=lambda: _library_profile_run("IOPS", FULL_SCALE, seed=0),
-        repetitions=1,
-        warmup=0,
     )
     registry.add(
         "fig9_full_library_full",
@@ -773,7 +702,5 @@ def default_registry() -> ScenarioRegistry:
         suite="full",
         seed=12,
         build=lambda: _full_library_run(60.0, 6.0, seed=12),
-        repetitions=1,
-        warmup=0,
     )
     return registry

@@ -23,8 +23,7 @@ Commands
 ``trace``
     Run the digital twin with the structured tracer on and export the full
     artifact set (``trace.jsonl``, ``spans.json``, ``metrics.json``,
-    ``metrics.prom``, ``report.json``) plus a critical-path breakdown;
-    ``--hotspots`` additionally profiles the event loop's wall-clock time.
+    ``metrics.prom``, ``report.json``) plus a critical-path breakdown.
 ``export``
     Run the digital twin untraced and export ``metrics.json`` /
     ``metrics.prom`` / ``report.json`` (the cheap artifact set).
@@ -49,13 +48,14 @@ Commands
     and write a schema-versioned per-request latency log; exits non-zero
     when any request errored at the transport level.
 ``bench``
-    Continuous benchmarking (see :mod:`repro.bench`): ``bench list`` shows
-    the registered scenarios, ``bench run`` executes a suite (or named
+    The behaviour gate (see :mod:`repro.bench`): ``bench list`` shows the
+    registered scenarios, ``bench run`` executes a suite (or named
     scenarios) and writes schema-versioned ``BENCH_<scenario>.json``
     artifacts, ``bench compare`` diffs a run against the committed
-    baselines with noise-aware thresholds (non-zero exit on regression or
-    simulated-metric drift), and ``bench update-baseline`` promotes a
-    run's artifacts to ``benchmarks/baselines/``.
+    baselines exactly (non-zero exit on simulated-metric drift), and
+    ``bench update-baseline`` promotes a run's artifacts to
+    ``benchmarks/baselines/``. Speed is measured by ``perfbench/``
+    instead (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -262,11 +262,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.no_repair:
         schedule = schedule.without_repair()
     kernel.faults.apply_fault_schedule(schedule)
-    from .bench import PerfCapture
-
-    with PerfCapture(kernel.ctx.sim) as capture:
-        report = kernel.run()
-    perf = capture.sample
+    report = kernel.run()
     resilience = report.resilience
     counts = {k.value: v for k, v in schedule.faults_by_component().items()}
     if args.json:
@@ -278,7 +274,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )},
             "repair": not args.no_repair,
         }
-        payload["perf"] = perf.as_dict()
         payload["service_retry"] = _sim_retry_stats(kernel).as_dict()
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
@@ -289,9 +284,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"resilience : {resilience.summary()}")
     if report.qos is not None:
         print(f"qos        : {report.qos.summary()}")
-    print(f"perf       : {perf.wall_seconds:.2f}s wall, "
-          f"{perf.events_per_second:,.0f} events/s, "
-          f"peak {perf.peak_memory_bytes / 1e6:.1f} MB")
     print(
         f"tail       : {report.completions.tail_hours:.2f} h "
         f"({'within' if report.completions.within_slo() else 'MISSES'} the 15 h SLO)"
@@ -348,26 +340,15 @@ def _sim_config_from(args: argparse.Namespace):
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .core import SimKernel
-    from .observability import (
-        Tracer,
-        WallClockProfiler,
-        critical_path,
-        export_run,
-    )
+    from .observability import Tracer, critical_path, export_run
 
     profile, trace, start, end = _profile_trace(args)
     tracer = Tracer()
     kernel = SimKernel(_sim_config_from(args), tracer=tracer)
     kernel.lifecycle.assign_trace(trace, start, end)
-    profiler = None
-    if args.hotspots:
-        profiler = WallClockProfiler()
-        profiler.install(kernel.ctx.sim)
     report = kernel.run()
     events = tracer.events()
-    artifacts = export_run(
-        args.out, report, kernel.ctx.metrics, events=events, profiler=profiler
-    )
+    artifacts = export_run(args.out, report, kernel.ctx.metrics, events=events)
     from .observability import assemble_spans
 
     spans = assemble_spans(events)
@@ -376,8 +357,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"result    : {report.summary()}")
     print(f"trace     : {len(events)} events, {len(spans)} request spans")
     print(breakdown.format())
-    if profiler is not None:
-        print(profiler.format(top=args.top))
     print(artifacts.summary())
     return 0
 
@@ -682,7 +661,6 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
     for scenario in registry:
         print(
             f"  {scenario.name:<26s} [{scenario.suite:>4s}] seed={scenario.seed:<3d} "
-            f"reps={scenario.repetitions} warmup={scenario.warmup}  "
             f"{scenario.description}"
         )
     return 0
@@ -692,13 +670,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     from .bench import BenchRunner, default_registry
     from .observability import RunArtifacts
 
-    registry = default_registry()
-    runner = BenchRunner(
-        registry,
-        repetitions=args.repetitions,
-        warmup=args.warmup,
-        top_hotspots=args.top,
-    )
+    runner = BenchRunner(default_registry())
     if args.scenario:
         results = runner.run_named(args.scenario)
     else:
@@ -707,38 +679,18 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     for result in results:
         artifacts.write_bench(result)
         print(result.summary())
-        for row in (result.extra or {}).get("curve", []):
-            # Sweep curves vary in their second axis: request rate for the
-            # dispatch sweep and motion mode for the motion sweep.
-            if "rate_factor" in row:
-                axis = f"rate {row['rate_factor']:.2f}"
-            else:
-                axis = f"{row.get('mode', '?'):>8s}"
-            print(
-                f"    {int(row['num_platters']):>5d} platters x "
-                f"{axis}: "
-                f"{row['events_per_second']:>10,.0f} ev/s "
-                f"({int(row['events_processed'])} events, "
-                f"{row['wall_seconds']:.3f}s)"
-            )
     print(artifacts.summary())
     return 0
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .bench import Tolerance, compare_dirs
+    from .bench import compare_dirs
 
-    tolerance = Tolerance(rel=args.rel_tolerance, mad_factor=args.mad_factor)
-    report = compare_dirs(
-        args.baseline,
-        args.candidate,
-        tolerance,
-        names=args.scenario or None,
-    )
+    report = compare_dirs(args.baseline, args.candidate, names=args.scenario or None)
     print(f"baseline  : {args.baseline}")
     print(f"candidate : {args.candidate}")
     print(report.format(verbose=args.verbose))
-    code = report.exit_code(wall_warn_only=args.wall_warn_only)
+    code = report.exit_code()
     print("verdict   : " + ("PASS" if code == 0 else "REGRESSION"))
     return code
 
@@ -750,11 +702,15 @@ def _cmd_bench_update_baseline(args: argparse.Namespace) -> int:
 
     docs = load_artifact_dir(args.from_dir)
     names = args.scenario or sorted(docs)
+    # Check every name before copying anything: a typo must not leave
+    # the baseline directory half updated.
+    missing = [name for name in names if name not in docs]
+    for name in missing:
+        print(f"no BENCH_{name}.json in {args.from_dir}", file=sys.stderr)
+    if missing:
+        return 1
     os.makedirs(args.baseline, exist_ok=True)
     for name in names:
-        if name not in docs:
-            print(f"no BENCH_{name}.json in {args.from_dir}", file=sys.stderr)
-            return 1
         source = os.path.join(args.from_dir, f"BENCH_{name}.json")
         target = os.path.join(args.baseline, f"BENCH_{name}.json")
         shutil.copyfile(source, target)
@@ -908,10 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--out", default="runs/trace",
                        help="artifact output directory")
-    trace.add_argument("--hotspots", action="store_true",
-                       help="also profile the event loop's wall-clock hot spots")
-    trace.add_argument("--top", type=int, default=10,
-                       help="hot-spot rows to print with --hotspots")
     trace.set_defaults(func=_cmd_trace)
 
     export = commands.add_parser(
@@ -1014,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.set_defaults(func=_cmd_loadgen)
 
     bench = commands.add_parser(
-        "bench", help="continuous benchmarking: run scenarios, gate regressions"
+        "bench", help="behaviour gate: run scenarios, compare simulated metrics"
     )
     bench_commands = bench.add_subparsers(dest="bench_command", required=True)
 
@@ -1029,16 +981,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run only this scenario (repeatable)")
     bench_run.add_argument("--out", default="runs/bench",
                            help="artifact output directory")
-    bench_run.add_argument("--repetitions", type=int, default=None,
-                           help="override per-scenario repetition count")
-    bench_run.add_argument("--warmup", type=int, default=None,
-                           help="override per-scenario warmup count")
-    bench_run.add_argument("--top", type=int, default=8,
-                           help="hot-spot rows recorded per artifact")
     bench_run.set_defaults(func=_cmd_bench_run)
 
     bench_compare = bench_commands.add_parser(
-        "compare", help="diff a run against committed baselines (exit 1 on regression)"
+        "compare", help="diff a run against committed baselines (exit 1 on drift)"
     )
     bench_compare.add_argument("--baseline", default="benchmarks/baselines",
                                help="baseline artifact directory")
@@ -1046,13 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="candidate artifact directory")
     bench_compare.add_argument("--scenario", action="append", default=[],
                                help="compare only this scenario (repeatable)")
-    bench_compare.add_argument("--rel-tolerance", type=float, default=0.10,
-                               help="relative wall-clock tolerance (fraction)")
-    bench_compare.add_argument("--mad-factor", type=float, default=4.0,
-                               help="noise threshold in MAD multiples")
-    bench_compare.add_argument("--wall-warn-only", action="store_true",
-                               help="wall-clock regressions warn instead of fail "
-                                    "(simulated-metric drift still fails)")
     bench_compare.add_argument("--verbose", action="store_true",
                                help="print every metric row, not just flagged ones")
     bench_compare.set_defaults(func=_cmd_bench_compare)

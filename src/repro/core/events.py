@@ -21,7 +21,7 @@ import sys
 import threading
 from collections import deque
 from heapq import heappop, heappush
-from time import monotonic, perf_counter
+from time import monotonic
 from time import sleep as _wall_sleep
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -34,7 +34,8 @@ class Event:
     """A scheduled callback.
 
     Events sort by ``(time, seq)``; the payload fields do not participate in
-    ordering. Use :meth:`cancel` to revoke an event that has not fired yet.
+    ordering, and ``label`` only names the event in its ``repr``. Use
+    :meth:`cancel` to revoke an event that has not fired yet.
 
     A ``__slots__`` class (not a dataclass): hundreds of thousands of these
     are queued per run, and dropping the per-instance ``__dict__`` keeps the
@@ -96,11 +97,6 @@ class Simulation:
         self._pushes = 0
         self._cancelled_skips = 0
         self._events_processed = 0
-        self._run_wall_seconds = 0.0
-        #: Optional wall-clock observer hook ``(label, wall_seconds) -> None``
-        #: (see :class:`repro.observability.profiler.WallClockProfiler`).
-        #: None (the default) costs one pointer comparison per event.
-        self.observer: Optional[Callable[[str, float], None]] = None
         #: Optional sim-time sampler installed by :meth:`set_sampler`:
         #: a mutable ``[next_due_time, callback]`` pair, or None (the
         #: default, costing one comparison of a loop-local per event).
@@ -115,23 +111,6 @@ class Simulation:
     def events_processed(self) -> int:
         """Number of events that have fired so far."""
         return self._events_processed
-
-    @property
-    def run_wall_seconds(self) -> float:
-        """Cumulative wall-clock seconds spent inside :meth:`run`."""
-        return self._run_wall_seconds
-
-    @property
-    def events_per_second(self) -> float:
-        """Event-loop throughput: events fired per wall-clock second.
-
-        Measured over time spent inside :meth:`run` (events fired through
-        bare :meth:`step` calls count events but no wall time). Zero until
-        the loop has run.
-        """
-        if self._run_wall_seconds <= 0.0:
-            return 0.0
-        return self._events_processed / self._run_wall_seconds
 
     @property
     def pending(self) -> int:
@@ -250,12 +229,7 @@ class Simulation:
                 continue
             self._now = time
             self._events_processed += 1
-            if self.observer is None:
-                event.callback()
-            else:
-                start = perf_counter()
-                event.callback()
-                self.observer(event.label, perf_counter() - start)
+            event.callback()
             return True
         return False
 
@@ -270,8 +244,7 @@ class Simulation:
             raise SimulationError("simulation is already running (re-entrant run())")
         self._running = True
         processed = 0
-        loop_start = perf_counter()
-        # This loop fires every event of a run, so the heap and hooks are
+        # This loop fires every event of a run, so the heap and sampler are
         # bound to locals. The ``until`` horizon is enforced by
         # pop-then-push-back: one extra heap operation per run() instead
         # of a head check per event.
@@ -279,7 +252,6 @@ class Simulation:
         horizon = float("inf") if until is None else until
         limit = sys.maxsize if max_events is None else max_events
         sampler = self._sampler
-        observer = self.observer
         try:
             while heap and processed < limit:
                 time, seq, event = heappop(heap)
@@ -293,16 +265,10 @@ class Simulation:
                     sampler = self._fire_samples(sampler, time)
                 self._now = time
                 processed += 1
-                if observer is None:
-                    event.callback()
-                else:
-                    start = perf_counter()
-                    event.callback()
-                    observer(event.label, perf_counter() - start)
+                event.callback()
         finally:
             self._running = False
             self._events_processed += processed
-            self._run_wall_seconds += perf_counter() - loop_start
         if until is not None and self._now < until:
             # Close out samples due in the drained tail before pinning the
             # clock to the horizon (state is constant there, so each one

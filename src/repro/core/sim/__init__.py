@@ -46,7 +46,7 @@ from .hooks import (
     TenancyLike,
     TracerLike,
 )
-from .kernel import SUBSYSTEM_LABELS, SimKernel
+from .kernel import SimKernel
 from .lifecycle import RequestLifecycle
 from .machines import DriveSim, ShuttleSim
 from .robotics import RoboticsSubsystem
@@ -71,7 +71,6 @@ __all__ = [
     "SimContext",
     "SimCounters",
     "SimKernel",
-    "SUBSYSTEM_LABELS",
     "TenancyLike",
     "TracerLike",
     "VerificationSubsystem",

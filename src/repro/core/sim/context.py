@@ -84,7 +84,7 @@ class SimCounters:
         )
         # Dispatch hot-path accounting. Deterministic (pure event-order
         # functions of the seed) so they live in the exported metrics;
-        # wall-clock dispatch timing stays in the profiler's hotspot table.
+        # perfbench's traced pass measures dispatch wall time.
         self.dispatch_passes = m.counter(
             "dispatch_passes_total",
             "Dispatch events that ran the assignment policy",

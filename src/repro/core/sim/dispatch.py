@@ -65,11 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Hoisted for the per-pass idle scan's inlined state check.
 _FAILED = ShuttleState.FAILED
 
-#: Event labels this subsystem schedules — the dispatch bucket of the
-#: phase profiler's subsystem wall-share table (kept next to the
-#: ``schedule`` sites so the attribution cannot drift from the code).
-DISPATCH_EVENT_LABELS = frozenset({"dispatch"})
-
 
 class SilicaDispatch:
     """Partitioned dispatch (§4.1): each shuttle serves its own partitions,

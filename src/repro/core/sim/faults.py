@@ -23,19 +23,6 @@ from .lifecycle import RequestLifecycle
 from .robotics import RoboticsSubsystem, ShuttleSim
 from .verification import VerificationSubsystem
 
-#: Event labels this subsystem schedules (fault fire/repair clocks): the
-#: "faults" bucket of the subsystem wall-share table.
-FAULT_EVENT_LABELS = frozenset(
-    {
-        "shuttle-failure",
-        "drive-failure",
-        "shuttle-repair",
-        "drive-repair",
-        "metadata-outage",
-        "metadata-repair",
-    }
-)
-
 
 class FaultSubsystem:
     """Failure injection and repair for shuttles, drives and metadata."""

@@ -7,7 +7,7 @@ those layers contribute — tracing, admission control, QoS fetch priorities,
 fault schedules — enters through the structural protocols below: the outer
 layer hands the kernel an object satisfying the protocol, and the kernel
 programs against the protocol alone. This is the generalization of the
-original ``tracer`` / ``observer`` hooks, and it is what lets a worker
+original ``tracer`` hook, and it is what lets a worker
 process run N kernels without dragging the whole service stack along.
 
 All protocols are ``runtime_checkable`` so subsystem unit tests can assert

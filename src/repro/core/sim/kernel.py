@@ -12,7 +12,7 @@ state through the subsystems (``kernel.lifecycle``, ``kernel.faults``,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from ..metrics import (
     CompletionStats,
@@ -26,31 +26,12 @@ from ..requests import SimRequest
 from ..scheduler import RequestScheduler
 from .config import SimConfig
 from .context import SimContext
-from .dispatch import DISPATCH_EVENT_LABELS, DispatchSubsystem
-from .faults import FAULT_EVENT_LABELS, FaultSubsystem
+from .dispatch import DispatchSubsystem
+from .faults import FaultSubsystem
 from .hooks import TracerLike
-from .lifecycle import LIFECYCLE_EVENT_LABELS, RequestLifecycle
-from .robotics import (
-    MOTION_EVENT_LABELS,
-    ROBOTICS_EVENT_LABELS,
-    RoboticsSubsystem,
-)
-from .verification import VERIFICATION_EVENT_LABELS, VerificationSubsystem
-
-#: Subsystem -> event labels it schedules, aggregated from the constants
-#: each subsystem module keeps beside its ``schedule`` calls. This is the
-#: kernel's authoritative map for wall-clock subsystem attribution
-#: (:class:`repro.observability.profiler.PhaseProfiler`); unlabeled
-#: callbacks fall to the profiler's "engine" bucket and any other label
-#: (e.g. bench ticks) to "other".
-SUBSYSTEM_LABELS: Dict[str, FrozenSet[str]] = {
-    "dispatch": DISPATCH_EVENT_LABELS,
-    "motion": MOTION_EVENT_LABELS,
-    "robotics": ROBOTICS_EVENT_LABELS,
-    "lifecycle": LIFECYCLE_EVENT_LABELS,
-    "faults": FAULT_EVENT_LABELS,
-    "verification": VERIFICATION_EVENT_LABELS,
-}
+from .lifecycle import RequestLifecycle
+from .robotics import RoboticsSubsystem
+from .verification import VerificationSubsystem
 
 
 class SimKernel:

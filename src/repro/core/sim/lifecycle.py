@@ -27,10 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dispatch import DispatchSubsystem
     from .faults import FaultSubsystem
 
-#: Event labels this subsystem schedules (workload arrivals and metadata
-#: retry backoff): the "lifecycle" bucket of the subsystem wall table.
-LIFECYCLE_EVENT_LABELS = frozenset({"arrival", "metadata-retry"})
-
 
 class RequestLifecycle:
     """Every request state transition from trace intake to completion."""

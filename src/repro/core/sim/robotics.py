@@ -27,26 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .lifecycle import RequestLifecycle
     from .verification import VerificationSubsystem
 
-#: Event labels of pure shuttle-kinematics callbacks (travel + battery):
-#: the "motion" bucket of the subsystem wall-share table. The ``*-trip``
-#: labels are the coarse-motion (``fine_motion_events=False``) closed-form
-#: trip completions that replace the per-hop move/pick/move/place chains.
-MOTION_EVENT_LABELS = frozenset({"move", "recharge", "fetch-trip", "return-trip"})
-
-#: Event labels of robotics service steps (pick/place handoffs and drive
-#: mount/read/unmount phases): the "robotics" bucket of the table.
-ROBOTICS_EVENT_LABELS = frozenset(
-    {
-        "fetch-pick",
-        "fetch-place",
-        "return-pick",
-        "return-place",
-        "mount",
-        "read",
-        "unmount",
-    }
-)
-
 
 class RoboticsSubsystem:
     """The library's mechanical plant and its service state machines."""

@@ -13,10 +13,6 @@ from typing import List, Optional, Tuple
 
 from .context import SimContext
 
-#: Event labels this subsystem schedules: the "verification" bucket of
-#: the subsystem wall-share table.
-VERIFICATION_EVENT_LABELS = frozenset({"verify-arrival"})
-
 
 class VerificationSubsystem:
     """Fluid-approximation model of background platter verification."""

@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -164,16 +163,10 @@ class FleetReport:
 class FleetCoordinator:
     """Routes reads across member libraries and survives domain outages."""
 
-    def __init__(
-        self, config: Optional[FleetConfig] = None, tracer=None, profiler=None
-    ):
+    def __init__(self, config: Optional[FleetConfig] = None, tracer=None):
         self.config = config or FleetConfig()
         self.topology = self.config.build_topology()
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
-        #: optional duck-typed phase profiler (needs a ``scope(name)``
-        #: context manager, e.g. :class:`repro.observability.profiler.
-        #: PhaseProfiler`); the fleet layer never imports observability.
-        self.profiler = profiler
         self.metrics = MetricsRegistry(prefix="fleet_")
         self.schedule: Optional[FleetFaultSchedule] = None
         self._trace: Optional[ReadTrace] = None
@@ -472,27 +465,12 @@ class FleetCoordinator:
     # ------------------------------------------------------------------ #
 
     def run(self, workers: Optional[int] = None) -> FleetReport:
-        """Plan routing, run members (serially or pooled), merge.
-
-        When a phase profiler is attached, each coordinator phase runs
-        under a nested ``fleet/...`` scope so fleet orchestration shows
-        up in the subsystem wall-share story beside the member kernels'
-        event-loop time.
-        """
+        """Plan routing, run members (serially or pooled), merge."""
         if self._trace is None:
             raise RuntimeError("assign_trace() before run()")
-        scope = (
-            self.profiler.scope
-            if self.profiler is not None
-            else (lambda name: nullcontext())
+        plan = self._plan()
+        jobs = self._member_jobs(plan)
+        results = self._run_members(
+            jobs, self.config.workers if workers is None else workers
         )
-        with scope("fleet"):
-            with scope("plan"):
-                plan = self._plan()
-                jobs = self._member_jobs(plan)
-            with scope("members"):
-                results = self._run_members(
-                    jobs, self.config.workers if workers is None else workers
-                )
-            with scope("merge"):
-                return self._merge(plan, jobs, results)
+        return self._merge(plan, jobs, results)

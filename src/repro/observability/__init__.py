@@ -12,11 +12,6 @@ of the archive service front end) explainable after the fact:
   from trace events, with an exact queue / mechanics / channel / decode
   critical-path decomposition, plus fleet routing spans (failover /
   hedge_wait / service) for multi-library runs;
-- :mod:`~repro.observability.profiler` — wall-clock hot-spot accounting of
-  the event loop itself (simulator performance, not simulated time);
-  :class:`~repro.observability.profiler.PhaseProfiler` adds per-subsystem
-  attribution (engine / dispatch / motion / robotics / ...) and nested
-  scopes;
 - :mod:`~repro.observability.monitor` — a sim-time
   :class:`~repro.observability.monitor.TimeSeriesMonitor`: bounded,
   deterministically-downsampled gauge series sampled from the live
@@ -25,14 +20,15 @@ of the archive service front end) explainable after the fact:
 - :mod:`~repro.observability.export` — one-directory run artifacts:
   ``trace.jsonl``, ``spans.json``, ``fleet_spans.json``,
   ``metrics.json``, ``metrics.prom``, ``report.json``,
-  ``hotspots.json``, ``timeseries.json``, ``tracer.json``.
+  ``timeseries.json``, ``tracer.json``.
 
 Counter/gauge/histogram primitives and the registry they live in are in
 :mod:`repro.core.metrics` (the simulator accumulates on them natively);
 this package re-exports them for convenience.
 
 Units: trace timestamps and span phases are **seconds** of simulated time;
-profiler durations are wall-clock seconds; byte attrs are raw bytes.
+byte attrs are raw bytes. How fast the simulator itself runs is measured
+outside the package, by ``perfbench/`` (see ``BENCHMARK.json``).
 """
 
 from ..core.metrics import (
@@ -47,7 +43,6 @@ from .monitor import (
     TIMESERIES_SCHEMA_VERSION,
     TimeSeriesMonitor,
 )
-from .profiler import PhaseProfiler, WallClockProfiler
 from .spans import (
     FLEET_PHASES,
     PHASES,
@@ -86,8 +81,6 @@ __all__ = [
     "MONITOR_SERIES",
     "TIMESERIES_SCHEMA_VERSION",
     "TimeSeriesMonitor",
-    "PhaseProfiler",
-    "WallClockProfiler",
     "FLEET_PHASES",
     "PHASES",
     "CriticalPathBreakdown",

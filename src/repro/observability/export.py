@@ -17,10 +17,6 @@ A run artifact directory (written by ``python -m repro trace`` /
     the same registry in Prometheus text exposition format;
 ``report.json``
     the :class:`~repro.core.metrics.SimulationReport` as stable JSON;
-``hotspots.json``
-    wall-clock hot spots of the simulator loop — only when profiling
-    was on (a :class:`~repro.observability.profiler.PhaseProfiler`
-    additionally carries the per-subsystem wall-share table);
 ``timeseries.json``
     the sim-time monitor's schema-versioned columnar gauge series —
     only when a :class:`~repro.observability.monitor.TimeSeriesMonitor`
@@ -32,7 +28,7 @@ A run artifact directory (written by ``python -m repro trace`` /
     per-request fleet routing spans (failover / hedge_wait / service
     decomposition) — only for traces carrying ``fleet.route`` events;
 ``BENCH_<scenario>.json``
-    schema-versioned continuous-benchmark results (one file per scenario,
+    schema-versioned behaviour-gate results (one file per scenario,
     written by :meth:`RunArtifacts.write_bench` for the
     :mod:`repro.bench` runner and diffed by ``python -m repro bench
     compare``).
@@ -50,7 +46,6 @@ from typing import Any, Dict, List, Optional
 
 from ..core.metrics import MetricsRegistry, SimulationReport
 from .monitor import TimeSeriesMonitor
-from .profiler import PhaseProfiler, WallClockProfiler
 from .spans import (
     FleetSpan,
     RequestSpan,
@@ -116,21 +111,6 @@ class RunArtifacts:
         _write_json(path, report.as_dict())
         return path
 
-    def write_hotspots(self, profiler: WallClockProfiler) -> str:
-        """Dump the profiler's hot-spot snapshot (plus, for a
-        :class:`~repro.observability.profiler.PhaseProfiler`, the
-        subsystem wall-share table and scope rows)."""
-        path = self._path("hotspots.json")
-        payload: Dict[str, Any] = profiler.as_dict()
-        if isinstance(profiler, PhaseProfiler):
-            payload = {
-                "labels": payload,
-                "subsystems": profiler.subsystem_table(),
-                "scopes": profiler.scopes_as_dict(),
-            }
-        _write_json(path, payload)
-        return path
-
     def write_timeseries(
         self, monitor: TimeSeriesMonitor, name: str = "timeseries.json"
     ) -> str:
@@ -191,7 +171,6 @@ def export_run(
     report: SimulationReport,
     registry: MetricsRegistry,
     events: Optional[List[TraceEvent]] = None,
-    profiler: Optional[WallClockProfiler] = None,
     monitor: Optional[TimeSeriesMonitor] = None,
     tracer: Optional[Tracer] = None,
 ) -> RunArtifacts:
@@ -212,8 +191,6 @@ def export_run(
             artifacts.write_fleet_spans(events)
     artifacts.write_metrics(registry)
     artifacts.write_report(report)
-    if profiler is not None:
-        artifacts.write_hotspots(profiler)
     if monitor is not None:
         artifacts.write_timeseries(monitor)
     if tracer is not None:

@@ -1,14 +1,14 @@
 """Sim-time time-series monitoring of a running kernel.
 
-Where the tracer records *events* and the profiler records *wall time*,
-the monitor records *state over simulated time*: every ``interval``
-simulated seconds it snapshots the kernel's live gauges — queue depths,
-busy shuttles/drives, free partitions, in-flight and deadline-pressured
-requests, fault state — into a bounded columnar reservoir. The result is
+Where the tracer records *events*, the monitor records *state over
+simulated time*: every ``interval`` simulated seconds it snapshots the
+kernel's live gauges — queue depths, busy shuttles/drives, free
+partitions, in-flight and deadline-pressured requests, fault state —
+into a bounded columnar reservoir. The result is
 the queryable time dimension TALICS³ treats as a first-class simulation
 output: the ``watch`` dashboard renders it live, run artifacts export it
 as a schema-versioned ``timeseries`` block, and bench results carry it
-beside the hot-spot profile.
+beside their simulated metrics.
 
 Determinism contract: sampling rides the engine's
 :meth:`~repro.core.events.Simulation.set_sampler` hook, which fires

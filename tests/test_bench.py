@@ -9,31 +9,36 @@ from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BenchError,
     BenchRunner,
-    PerfCapture,
     Scenario,
     ScenarioRegistry,
     ScenarioRun,
-    Tolerance,
     compare_dirs,
     compare_scenario,
     default_registry,
+    headline_metrics,
     load_artifact,
     load_artifact_dir,
 )
-from repro.bench.compare import (
-    DRIFT,
-    IMPROVEMENT,
-    MATCH,
-    REGRESSION,
-    SKIPPED,
-    WITHIN_NOISE,
-)
-from repro.bench.runner import mad, median
+from repro.bench.compare import DRIFT, MATCH, SKIPPED
+from repro.core import SimConfig, SimKernel
 from repro.core.events import Simulation
 from repro.observability import RunArtifacts
+from repro.workload import WorkloadGenerator
+
+#: The keys a schema-2 artifact may carry.
+ARTIFACT_KEYS = {
+    "schema",
+    "scenario",
+    "description",
+    "suite",
+    "seed",
+    "git_sha",
+    "simulated_metrics",
+    "timeseries",
+}
 
 
-def tiny_scenario(name="tiny", seed=1, metrics=None, repetitions=2, warmup=0):
+def tiny_scenario(name="tiny", seed=1, metrics=None):
     """A registry scenario that drains a 100-event engine near-instantly."""
 
     def build():
@@ -45,7 +50,7 @@ def tiny_scenario(name="tiny", seed=1, metrics=None, repetitions=2, warmup=0):
             sim.run()
             return dict(metrics or {"simulated_seconds": sim.now})
 
-        return ScenarioRun(execute=execute, simulation=sim)
+        return ScenarioRun(execute=execute)
 
     return Scenario(
         name=name,
@@ -53,39 +58,29 @@ def tiny_scenario(name="tiny", seed=1, metrics=None, repetitions=2, warmup=0):
         suite="fast",
         seed=seed,
         build=build,
-        repetitions=repetitions,
-        warmup=warmup,
     )
 
 
-def make_doc(
-    scenario="tiny",
-    seed=1,
-    wall=(1.0, 0.01),
-    memory=(1e6, 0.0),
-    events=None,
-    simulated=None,
-    schema=BENCH_SCHEMA_VERSION,
-):
+def small_kernel():
+    """A seconds-scale library twin with its trace assigned, not yet run."""
+    kernel = SimKernel(
+        SimConfig(num_shuttles=4, num_drives=4, num_platters=100, seed=5)
+    )
+    trace, start, end = WorkloadGenerator(seed=5).interval_trace(
+        0.05, interval_hours=0.1, warmup_hours=0.0, cooldown_hours=0.1
+    )
+    kernel.lifecycle.assign_trace(trace, start, end)
+    return kernel
+
+
+def make_doc(scenario="tiny", seed=1, simulated=None, schema=BENCH_SCHEMA_VERSION):
     """A minimal BENCH document for comparator tests."""
-    doc = {
+    return {
         "schema": schema,
         "scenario": scenario,
         "seed": seed,
-        "wall_seconds": {"median": wall[0], "mad": wall[1], "samples": [wall[0]]},
-        "peak_memory_bytes": {
-            "median": memory[0],
-            "mad": memory[1],
-            "samples": [memory[0]],
-        },
-        "events_per_second": (
-            {"median": events[0], "mad": events[1], "samples": [events[0]]}
-            if events
-            else None
-        ),
         "simulated_metrics": dict(simulated or {"tail_seconds": 100.0}),
     }
-    return doc
 
 
 class TestRegistry:
@@ -119,8 +114,7 @@ class TestRegistry:
     def test_scenario_validation(self):
         with pytest.raises(BenchError, match="suite"):
             Scenario("x", "d", "medium", 0, lambda: None)
-        with pytest.raises(BenchError, match="repetitions"):
-            Scenario("x", "d", "fast", 0, lambda: None, repetitions=0)
+        assert Scenario("x", "d", "full", 0, lambda: None).suite == "full"
 
     def test_iteration_and_contains(self):
         registry = ScenarioRegistry()
@@ -131,60 +125,18 @@ class TestRegistry:
         assert len(registry) == 2
 
 
-class TestStats:
-    def test_median(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
-        assert median([]) == 0.0
-
-    def test_mad(self):
-        assert mad([1.0, 1.0, 1.0]) == 0.0
-        assert mad([1.0, 2.0, 9.0]) == 1.0  # deviations from 2: [1, 0, 7]
-        assert mad([5.0]) == 0.0
-
-
-class TestPerfCapture:
-    def test_counts_engine_events(self):
-        sim = Simulation()
-        for i in range(10):
-            sim.schedule(i * 0.1, lambda: None)
-        with PerfCapture(sim) as capture:
-            sim.run()
-        sample = capture.sample
-        assert sample.events_processed == 10
-        assert sample.events_per_second > 0
-        assert sample.peak_memory_bytes is not None
-        assert sample.wall_seconds > 0
-
-    def test_no_engine_means_no_event_fields(self):
-        with PerfCapture() as capture:
-            sum(range(1000))
-        assert capture.sample.events_processed is None
-        assert capture.sample.events_per_second is None
-
-    def test_trace_memory_off(self):
-        with PerfCapture(trace_memory=False) as capture:
-            sum(range(1000))
-        assert capture.sample.peak_memory_bytes is None
-        assert capture.sample.as_dict()["peak_memory_bytes"] is None
-
-
 class TestRunner:
-    def test_runs_and_aggregates(self):
+    def test_result_carries_metrics_schema_and_sha(self):
         registry = ScenarioRegistry()
-        registry.register(tiny_scenario(repetitions=3, warmup=1))
+        registry.register(tiny_scenario())
         result = BenchRunner(registry).run_scenario(registry.get("tiny"))
-        assert len(result.wall_seconds) == 3
-        assert len(result.events_per_second) == 3
-        assert len(result.peak_memory_bytes) == 1  # one instrumented pass
-        assert result.events_processed == 100
         assert result.simulated_metrics == {"simulated_seconds": pytest.approx(0.99)}
-        assert result.hotspots and result.hotspots[0]["label"] == "tick"
+        assert result.timeseries is None  # no kernel, nothing to monitor
         payload = result.as_dict()
         assert payload["schema"] == BENCH_SCHEMA_VERSION
-        assert payload["wall_seconds"]["median"] > 0
-        assert "git_sha" in payload and "machine" in payload
-        assert "wall" in result.summary()
+        assert payload["git_sha"]
+        assert set(payload) == ARTIFACT_KEYS - {"timeseries"}
+        assert "metrics=1" in result.summary()
 
     def test_nondeterministic_scenario_rejected(self):
         drifting = {"count": 0}
@@ -197,21 +149,53 @@ class TestRunner:
             return ScenarioRun(execute=execute)
 
         registry = ScenarioRegistry()
-        registry.add("drifty", "changes every run", "fast", 0, build, repetitions=2)
+        registry.add("drifty", "changes every run", "fast", 0, build)
         with pytest.raises(BenchError, match="not deterministic"):
             BenchRunner(registry).run_scenario(registry.get("drifty"))
+
+    def test_sampler_dependent_scenario_rejected(self):
+        """Metrics that change once a sampler is installed fail the run."""
+
+        class SamplerAwareKernel:
+            def __init__(self):
+                self.sampled = False
+
+            def sample_state(self):
+                return {}
+
+            def attach_sampler(self, interval, callback):
+                self.sampled = True
+
+        def build():
+            kernel = SamplerAwareKernel()
+            return ScenarioRun(
+                execute=lambda: {"sampled": float(kernel.sampled)}, kernel=kernel
+            )
+
+        registry = ScenarioRegistry()
+        registry.add("observed", "depends on the sampler", "fast", 0, build)
+        with pytest.raises(BenchError, match="monitored execution"):
+            BenchRunner(registry).run_scenario(registry.get("observed"))
+
+    def test_real_kernel_monitored_matches_bare(self):
+        def build():
+            kernel = small_kernel()
+            return ScenarioRun(
+                execute=lambda: headline_metrics(kernel.run()), kernel=kernel
+            )
+
+        registry = ScenarioRegistry()
+        registry.add("small_twin", "seconds-scale twin", "fast", 5, build)
+        result = BenchRunner(registry).run_scenario(registry.get("small_twin"))
+        assert result.simulated_metrics == headline_metrics(small_kernel().run())
+        assert result.simulated_metrics["requests_completed"] > 0
+        assert result.timeseries is not None
+        assert result.timeseries["samples"] > 0
+        assert set(result.as_dict()) == ARTIFACT_KEYS
 
     def test_run_suite_empty_rejected(self):
         with pytest.raises(BenchError, match="no registered scenarios"):
             BenchRunner(ScenarioRegistry()).run_suite("fast")
-
-    def test_overrides(self):
-        registry = ScenarioRegistry()
-        registry.register(tiny_scenario(repetitions=3, warmup=2))
-        runner = BenchRunner(registry, repetitions=1, warmup=0)
-        result = runner.run_scenario(registry.get("tiny"))
-        assert len(result.wall_seconds) == 1
-        assert result.warmup == 0
 
 
 class TestArtifactRoundTrip:
@@ -247,30 +231,6 @@ class TestComparator:
     def verdict_of(self, report, metric):
         return {c.metric: c.verdict for c in report.comparisons}[metric]
 
-    def test_within_noise(self):
-        base = make_doc(wall=(1.0, 0.02))
-        cand = make_doc(wall=(1.05, 0.02))  # 5% < 10% rel tolerance
-        report = compare_scenario(base, cand)
-        assert self.verdict_of(report, "wall_seconds") == WITHIN_NOISE
-
-    def test_regression_and_improvement(self):
-        base = make_doc(wall=(1.0, 0.001), events=(1000.0, 1.0))
-        slow = make_doc(wall=(1.5, 0.001), events=(500.0, 1.0))
-        report = compare_scenario(base, slow)
-        assert self.verdict_of(report, "wall_seconds") == REGRESSION
-        assert self.verdict_of(report, "events_per_second") == REGRESSION
-        fast = make_doc(wall=(0.5, 0.001), events=(2000.0, 1.0))
-        report = compare_scenario(base, fast)
-        assert self.verdict_of(report, "wall_seconds") == IMPROVEMENT
-        assert self.verdict_of(report, "events_per_second") == IMPROVEMENT
-
-    def test_mad_widens_threshold(self):
-        # 20% shift, but the baseline is extremely noisy: MAD catches it.
-        base = make_doc(wall=(1.0, 0.1))
-        cand = make_doc(wall=(1.2, 0.1))
-        report = compare_scenario(base, cand, Tolerance(rel=0.05, mad_factor=4.0))
-        assert self.verdict_of(report, "wall_seconds") == WITHIN_NOISE
-
     def test_exact_metric_drift_same_seed(self):
         base = make_doc(simulated={"tail_seconds": 100.0})
         cand = make_doc(simulated={"tail_seconds": 100.0000001})
@@ -282,6 +242,19 @@ class TestComparator:
         report = compare_scenario(make_doc(), make_doc())
         assert self.verdict_of(report, "sim:tail_seconds") == MATCH
 
+    def test_metric_on_one_side_is_drift(self):
+        # A gated metric that disappears (or appears) under the same seed
+        # is a behaviour change, not something to skip.
+        base = make_doc(simulated={"tail": 1.0, "gate": 1.0})
+        cand = make_doc(simulated={"tail": 1.0})
+        report = compare_scenario(base, cand)
+        assert self.verdict_of(report, "sim:tail") == MATCH
+        assert self.verdict_of(report, "sim:gate") == DRIFT
+        assert self.verdict_of(compare_scenario(cand, base), "sim:gate") == DRIFT
+        # Under different seeds nothing is compared, one-sided or not.
+        report = compare_scenario(base, make_doc(seed=2, simulated={"tail": 1.0}))
+        assert self.verdict_of(report, "sim:gate") == SKIPPED
+
     def test_seed_mismatch_skips_simulated(self):
         base = make_doc(seed=1, simulated={"tail_seconds": 100.0})
         cand = make_doc(seed=2, simulated={"tail_seconds": 200.0})
@@ -292,10 +265,6 @@ class TestComparator:
     def test_schema_mismatch_rejected(self):
         with pytest.raises(BenchError, match="schema"):
             compare_scenario(make_doc(schema="repro.bench/0"), make_doc())
-
-    def test_events_absent_skipped(self):
-        report = compare_scenario(make_doc(events=None), make_doc(events=None))
-        assert self.verdict_of(report, "events_per_second") == SKIPPED
 
 
 class TestCompareDirs:
@@ -351,19 +320,15 @@ class TestCompareDirs:
         assert report.missing_in_baseline == ["new"]
         assert report.exit_code() == 0
 
-    def test_wall_warn_only_mode(self, tmp_path):
-        self.write(str(tmp_path / "base"), make_doc("a", wall=(1.0, 0.001)))
-        self.write(str(tmp_path / "cand"), make_doc("a", wall=(2.0, 0.001)))
+    def test_drift_fails_exit_code(self, tmp_path):
+        self.write(str(tmp_path / "base"), make_doc("a"))
+        self.write(str(tmp_path / "cand"), make_doc("a"))
+        report = compare_dirs(str(tmp_path / "base"), str(tmp_path / "cand"))
+        assert report.exit_code() == 0
+        self.write(str(tmp_path / "cand"), make_doc("a", simulated={"tail_seconds": 1.0}))
         report = compare_dirs(str(tmp_path / "base"), str(tmp_path / "cand"))
         assert report.exit_code() == 1
-        assert report.exit_code(wall_warn_only=True) == 0
-        # ... but drift still fails even in warn-only mode.
-        self.write(
-            str(tmp_path / "cand"),
-            make_doc("a", wall=(2.0, 0.001), simulated={"tail_seconds": 1.0}),
-        )
-        report = compare_dirs(str(tmp_path / "base"), str(tmp_path / "cand"))
-        assert report.exit_code(wall_warn_only=True) == 1
+        assert "[!!] a" in report.format()
 
     def test_names_filter(self, tmp_path):
         self.write(str(tmp_path / "base"), make_doc("a"))
@@ -400,3 +365,7 @@ class TestCommittedBaselines:
         registry = default_registry()
         for name, doc in docs.items():
             assert doc["seed"] == registry.get(name).seed
+
+    def test_baselines_carry_only_behaviour_keys(self):
+        for name, doc in load_artifact_dir(self.BASELINE_DIR).items():
+            assert set(doc) <= ARTIFACT_KEYS, (name, set(doc) - ARTIFACT_KEYS)

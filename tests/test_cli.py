@@ -124,13 +124,8 @@ class TestChaosCommand:
         assert list(payload["resilience"]) == sorted(payload["resilience"])
         assert payload["schedule"]["repair"] is True
         assert payload["resilience"]["faults_injected"] >= 0
-        # Perf block from the shared bench capture helpers.
-        perf = payload["perf"]
-        assert list(perf) == sorted(perf)
-        assert perf["events_per_second"] > 0
-        assert perf["events_processed"] > 0
-        assert perf["peak_memory_bytes"] > 0
-        assert perf["wall_seconds"] > 0
+        # No wall-clock block: the payload is a pure function of the seed.
+        assert "perf" not in payload
         # Front-end retry-ladder counters ride along (ServiceRetryStats
         # schema): stable keys, non-negative counts.
         retry = payload["service_retry"]
@@ -145,6 +140,14 @@ class TestChaosCommand:
             "unrecovered_sectors",
         }
         assert all(value >= 0 for value in retry.values())
+
+    def test_chaos_json_is_byte_identical_across_runs(self, capsys):
+        argv = ["--seed", "3", "chaos", "--hours", "0.2", "--platters", "950", "--json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_chaos_json_counts_metadata_retries(self, capsys):
         code = main(
@@ -237,13 +240,6 @@ class TestTraceExportCommands:
             1 for s in spans if s.phases
         )
 
-    def test_trace_hotspots(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "run")
-        code = main(["trace", *self._small, "--out", out_dir, "--hotspots"])
-        assert code == 0
-        assert "wall-clock hot spots" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(out_dir, "hotspots.json"))
-
     def test_export_writes_metrics_and_report(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
         code = main(["export", *self._small, "--out", out_dir])
@@ -273,8 +269,6 @@ class TestBenchCommands:
                 "bench", "run",
                 "--scenario", "event_loop",
                 "--out", run_dir,
-                "--repetitions", "2",
-                "--warmup", "0",
             ]
         )
         assert code == 0
@@ -283,8 +277,8 @@ class TestBenchCommands:
         artifact = os.path.join(run_dir, "BENCH_event_loop.json")
         with open(artifact) as handle:
             doc = json.load(handle)
-        assert doc["schema"] == "repro.bench/1"
-        assert doc["repetitions"] == 2
+        assert doc["schema"] == "repro.bench/2"
+        assert set(doc["simulated_metrics"]) == {"events_fired", "simulated_seconds"}
 
         # Same artifacts on both sides: clean pass.
         code = main(
@@ -293,8 +287,7 @@ class TestBenchCommands:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-        # Promote to a baseline dir, perturb a simulated metric: drift fails
-        # even in wall-warn-only mode.
+        # Promote to a baseline dir, perturb a simulated metric: drift fails.
         base_dir = str(tmp_path / "base")
         code = main(
             [
@@ -315,12 +308,35 @@ class TestBenchCommands:
                 "bench", "compare",
                 "--baseline", base_dir,
                 "--candidate", run_dir,
-                "--wall-warn-only",
             ]
         )
         assert code == 1
         out = capsys.readouterr().out
         assert "drift" in out and "REGRESSION" in out
+
+    def test_bench_update_baseline_checks_every_name_first(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "BENCH_event_loop.json").write_text(
+            json.dumps({"scenario": "event_loop", "simulated_metrics": {"x": 2.0}})
+        )
+        base_dir = tmp_path / "base"
+        base_dir.mkdir()
+        committed = json.dumps({"scenario": "event_loop", "simulated_metrics": {"x": 1.0}})
+        (base_dir / "BENCH_event_loop.json").write_text(committed)
+        code = main(
+            [
+                "bench", "update-baseline",
+                "--from-dir", str(run_dir),
+                "--baseline", str(base_dir),
+                "--scenario", "event_loop",
+                "--scenario", "typo",
+            ]
+        )
+        assert code == 1
+        assert "no BENCH_typo.json" in capsys.readouterr().err
+        assert os.listdir(base_dir) == ["BENCH_event_loop.json"]
+        assert (base_dir / "BENCH_event_loop.json").read_text() == committed
 
     def test_bench_unknown_scenario_errors(self, tmp_path, capsys):
         code = main(

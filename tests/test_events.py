@@ -65,24 +65,15 @@ class TestScheduling:
         sim.run()
         assert sim.events_processed == 4
 
-    def test_loop_throughput_tracked_by_run(self):
-        sim = Simulation()
-        assert sim.events_per_second == 0.0  # nothing has run yet
-        for i in range(100):
-            sim.schedule(i * 0.1, lambda: None)
-        sim.run()
-        assert sim.run_wall_seconds > 0.0
-        assert sim.events_per_second == pytest.approx(
-            sim.events_processed / sim.run_wall_seconds
-        )
-
-    def test_bare_step_counts_events_but_no_wall_time(self):
+    def test_bare_step_counts_events(self):
         sim = Simulation()
         sim.schedule(1.0, lambda: None)
-        sim.step()
+        sim.schedule(2.0, lambda: None).cancel()
+        assert sim.step()
         assert sim.events_processed == 1
-        assert sim.run_wall_seconds == 0.0
-        assert sim.events_per_second == 0.0
+        assert not sim.step()  # only the cancelled entry was left
+        assert sim.events_processed == 1
+        assert sim.scheduler_stats == {"pushes": 2, "pops": 1, "cancelled_skips": 1}
 
 
 class TestCancellation:

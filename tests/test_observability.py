@@ -23,13 +23,11 @@ from repro.observability import (
     SCHEMA_VERSION,
     JsonlSink,
     ListSink,
-    PhaseProfiler,
     RingSink,
     TimeSeriesMonitor,
     TraceEvent,
     Tracer,
     TraceSchemaError,
-    WallClockProfiler,
     assemble_fleet_spans,
     assemble_spans,
     critical_path,
@@ -337,28 +335,6 @@ class TestSimulationRegistry:
 
 
 # --------------------------------------------------------------------- #
-# Wall-clock profiler
-# --------------------------------------------------------------------- #
-
-
-class TestProfiler:
-    def test_profiler_accounts_labels(self):
-        from repro.core.events import Simulation
-
-        sim = Simulation()
-        profiler = WallClockProfiler()
-        profiler.install(sim)
-        sim.schedule(1.0, lambda: None, label="a")
-        sim.schedule(2.0, lambda: None, label="a")
-        sim.schedule(3.0, lambda: None, label="b")
-        sim.run()
-        assert profiler.total_events == 3
-        labels = {label for label, _, _ in profiler.hotspots()}
-        assert labels == {"a", "b"}
-        assert "wall-clock hot spots" in profiler.format()
-
-
-# --------------------------------------------------------------------- #
 # Trace schema migration (v1 -> current)
 # --------------------------------------------------------------------- #
 
@@ -564,93 +540,6 @@ class TestTimeSeriesMonitor:
         registry = MetricsRegistry(prefix="m_")
         monitor.to_gauges(registry)
         assert registry.to_prometheus() == GOLDEN_MONITOR_PROM
-
-
-# --------------------------------------------------------------------- #
-# Phase profiler (subsystem wall attribution + nested scopes)
-# --------------------------------------------------------------------- #
-
-
-class TestPhaseProfiler:
-    def test_classification_covers_kernel_labels(self):
-        profiler = PhaseProfiler()
-        assert profiler.classify("dispatch") == "dispatch"
-        assert profiler.classify("move") == "motion"
-        assert profiler.classify("mount") == "robotics"
-        assert profiler.classify("arrival") == "lifecycle"
-        assert profiler.classify("shuttle-failure") == "faults"
-        assert profiler.classify("verify-arrival") == "verification"
-        assert profiler.classify("") == "engine"
-        assert profiler.classify("tick") == "other"
-
-    def test_subsystem_shares_sum_to_one_on_a_real_run(self):
-        from repro.workload import WorkloadGenerator
-
-        kernel = SimKernel(
-            SimConfig(num_shuttles=4, num_drives=4, num_platters=100, seed=5)
-        )
-        generator = WorkloadGenerator(seed=5)
-        trace, start, end = generator.interval_trace(
-            0.05, interval_hours=0.1, warmup_hours=0.0, cooldown_hours=0.1
-        )
-        kernel.lifecycle.assign_trace(trace, start, end)
-        profiler = PhaseProfiler()
-        profiler.install(kernel.ctx.sim)
-        kernel.run()
-        table = profiler.subsystem_table()
-        assert table, "expected at least one attributed subsystem"
-        assert sum(row["share"] for row in table) == pytest.approx(1.0)
-        names = {row["subsystem"] for row in table}
-        assert "dispatch" in names
-        assert "robotics" in names
-        # The table is the "labels bucketed by subsystem" view of the
-        # same wall time: totals must agree with the flat profiler.
-        assert sum(row["wall_seconds"] for row in table) == pytest.approx(
-            profiler.total_seconds
-        )
-
-    def test_nested_scopes_account_self_time(self):
-        profiler = PhaseProfiler()
-        with profiler.scope("fleet"):
-            with profiler.scope("plan"):
-                pass
-            with profiler.scope("members"):
-                pass
-        rows = profiler.scopes_as_dict()
-        assert set(rows) == {"fleet", "fleet/plan", "fleet/members"}
-        assert rows["fleet"]["calls"] == 1
-        # Parent self-time excludes child time: all non-negative, and the
-        # parent's self share is what is left after its two children.
-        assert all(r["self_seconds"] >= 0.0 for r in rows.values())
-
-    def test_to_dict_carries_subsystems_and_scopes(self):
-        from repro.core.events import Simulation
-
-        sim = Simulation()
-        profiler = PhaseProfiler()
-        profiler.install(sim)
-        sim.schedule(1.0, lambda: None, label="dispatch")
-        sim.run()
-        with profiler.scope("merge"):
-            pass
-        payload = profiler.to_dict()
-        assert payload["subsystems"][0]["subsystem"] == "dispatch"
-        assert "merge" in payload["scopes"]
-        profiler.reset()
-        assert profiler.subsystem_table() == []
-        assert profiler.scopes_as_dict() == {}
-
-    def test_format_subsystems_renders_table(self):
-        from repro.core.events import Simulation
-
-        sim = Simulation()
-        profiler = PhaseProfiler()
-        profiler.install(sim)
-        sim.schedule(1.0, lambda: None, label="dispatch")
-        sim.run()
-        text = profiler.format_subsystems()
-        assert "dispatch" in text
-        assert "%" in text
 
 
 # --------------------------------------------------------------------- #

@@ -251,7 +251,6 @@ class _ListEngine:
 
     def __init__(self):
         self.now = 0.0
-        self.observer = None
         self._queue = []
         self._sampler = None
         self.pushes = 0
@@ -307,8 +306,6 @@ class _ListEngine:
             self.now = time
             self.pops += 1
             event.callback()
-            if self.observer is not None:
-                self.observer(event.label, 0.0)
         if until is not None and self.now < until:
             self._fire_samples(until)
             self.now = until
@@ -317,16 +314,14 @@ class _ListEngine:
 class TestEngineOracle:
     """The heap engine must replay any schedule/cancel/run interleaving
     exactly like the sorted-list oracle: same fire order, same clock, same
-    sampler ticks and observer labels, same event count and counters."""
+    sampler ticks, same event count and counters."""
 
     @staticmethod
     def _execute(program, sim):
         """Run ``program`` on a fresh engine; return every observable."""
         log = []
         samples = []
-        observed = []
         handles = []
-        sim.observer = lambda label, wall: observed.append(label)
         sim.set_sampler(3.0, lambda ts: (samples.append(ts), 3.0)[1])
 
         def make_callback(uid, action):
@@ -367,7 +362,6 @@ class TestEngineOracle:
         return (
             log,
             samples,
-            observed,
             sim.now,
             sim.events_processed,
             sim.scheduler_stats,
