@@ -572,7 +572,8 @@ def _serve_soak_run(seed: int) -> ScenarioRun:
     Every metric — counters, simulated latency percentiles, the
     all-clients-finished and tracer/controller reject-parity gates — is
     deterministic, so the comparator EXACT-gates the whole serving path:
-    catalog, admission, ticket resolution, tracer tap.
+    catalog, admission, ticket resolution from the kernel's completion
+    seam, and the ``/events`` trace feed the reject count is read from.
     """
     from ..serve import run_soak
 

@@ -28,14 +28,15 @@ Commands
     Run the digital twin untraced and export ``metrics.json`` /
     ``metrics.prom`` / ``report.json`` (the cheap artifact set).
 ``watch``
-    Drive a paced run with the sim-time monitor attached and render an
+    Run the twin with the sim-time monitor attached and render an
     in-terminal dashboard (sparklines of queue depths, busy machines,
-    fault state) frame by frame; ``--out`` additionally exports the run
-    artifacts including ``timeseries.json``, ``--html FILE`` renders
-    a previously exported ``timeseries.json`` (``--from-dir``) as a
-    self-contained HTML timeline without re-running anything, and
-    ``--follow URL`` skips the local run entirely and renders a live
-    server's ``GET /events`` stream instead.
+    fault state) at ``--frames`` evenly spaced sim times, pausing
+    ``--refresh`` wall-seconds between frames; ``--out`` additionally
+    exports the run artifacts including ``timeseries.json``, ``--html
+    FILE`` renders a previously exported ``timeseries.json``
+    (``--from-dir``) as a self-contained HTML timeline without re-running
+    anything, and ``--follow URL`` skips the local run entirely and
+    renders a live server's ``GET /events`` stream instead.
 ``serve``
     Run the archive as a live asyncio HTTP service over the paced twin
     (see :mod:`repro.serve`): sim time advances at ``--dilation``
@@ -63,6 +64,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 
@@ -446,7 +448,6 @@ def _watch_follow(args: argparse.Namespace) -> int:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     from .core import SimKernel
-    from .core.events import PacedEngine
     from .observability import TimeSeriesMonitor, export_run
     from .observability.watch import render_frame
 
@@ -465,22 +466,24 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     clear = "\x1b[H\x1b[2J" if sys.stdout.isatty() and args.refresh > 0 else ""
     print(f"profile   : {profile.name} ({len(trace)} requests), "
           f"sampling every {interval:.0f}s of sim time")
-    # Frame pacing rides the paced engine (dilation 0 = free-run between
-    # frame boundaries, wall pause between frames) — the same clock the
-    # live server couples to, so there is exactly one pacing
-    # implementation in the tree.
-    engine = PacedEngine(kernel.ctx.sim, frame_wall_seconds=args.refresh)
+    # Each frame free-runs the twin to its boundary; --refresh only
+    # spaces the renders out on the wall clock, so it never changes what
+    # the run computes or exports.
+    sim = kernel.ctx.sim
     sim_counters = kernel.ctx.counters
-    for _frame, now in engine.frames(horizon, frames):
+    for frame in range(1, frames + 1):
+        if frame > 1 and args.refresh > 0:
+            time.sleep(args.refresh)
+        sim.run(until=horizon * frame / frames)
         counters = {
             "completed": sum(
                 1 for r in kernel.lifecycle.all_requests if r.parent is None and r.done
             ),
             "bytes_read": sim_counters.bytes_read.value,
             "lost": int(sim_counters.requests_lost.value),
-            "events": kernel.ctx.sim.events_processed,
+            "events": sim.events_processed,
         }
-        print(clear + render_frame(monitor, now, horizon, counters))
+        print(clear + render_frame(monitor, sim.now, horizon, counters))
     report = kernel.run()  # drain to quiescence past the horizon
     print(f"result    : {report.summary()}")
     if args.out:
@@ -875,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=_cmd_export)
 
     watch = commands.add_parser(
-        "watch", help="live in-terminal dashboard of a paced run",
+        "watch", help="in-terminal dashboard of a twin run, frame by frame",
         parents=[run_parent, fault_parent, qos_parent],
     )
     watch.add_argument("--interval", type=float, default=0.0,

@@ -22,8 +22,7 @@ import threading
 from collections import deque
 from heapq import heappop, heappush
 from time import monotonic
-from time import sleep as _wall_sleep
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -284,14 +283,14 @@ class PacedEngine:
     The batch engine runs as fast as it can; a *paced* engine instead maps
     wall time onto sim time through a ``dilation`` factor (sim-seconds per
     wall-second) so the twin advances in real time — the substrate of the
-    live service mode (``repro.serve``) and of ``python -m repro watch``'s
-    frame pacing. Two ideas keep it deterministic enough to serve traffic:
+    live service mode (``repro.serve``). Two ideas keep it deterministic
+    enough to serve traffic:
 
     * Simulation state is touched only by the code that advances the
-      clock — :meth:`advance_to`, or :meth:`run_slice`, which the live
-      server calls from a task on its asyncio loop. Everything else (other
-      tasks, other threads) hands work in through :meth:`inject`, a
-      thread-safe FIFO of callbacks.
+      clock — :meth:`run_slice`, which the live server calls from a pacer
+      task on its asyncio loop. Everything else (other tasks, other
+      threads) hands work in through :meth:`inject`, a thread-safe FIFO
+      of callbacks.
     * Injections are drained only at slice boundaries, by the code that
       advances the clock, and each callback runs at the *current* sim
       time. Once a request has been injected at sim time ``t``,
@@ -299,11 +298,9 @@ class PacedEngine:
       wall-clock jitter only moves the admission timestamp, never the
       event interleaving after it.
 
-    ``dilation <= 0`` means *free run*: :meth:`advance_to` does not sleep
-    at all and is byte-equivalent to ``sim.run(until=...)`` (this is what
-    the watch command uses between frames, so ``watch --html`` output is
-    unchanged by the rebuild). ``clock``/``sleep`` are injectable for
-    tests.
+    Virtual-time callers (tests, the soak harness) drive ``sim.run``
+    themselves; :meth:`drain_injections` empties the queue outside a
+    slice. ``clock`` is injectable for tests.
     """
 
     def __init__(
@@ -311,21 +308,16 @@ class PacedEngine:
         sim: Simulation,
         dilation: float = 0.0,
         poll_wall_seconds: float = 0.05,
-        frame_wall_seconds: float = 0.0,
         max_pending: int = 0,
         clock: Callable[[], float] = monotonic,
-        sleep: Callable[[float], None] = _wall_sleep,
     ) -> None:
         self.sim = sim
         self.dilation = float(dilation)
         #: Upper bound on one wall-clock wait between slices (seconds).
         self.poll_wall_seconds = float(poll_wall_seconds)
-        #: Wall pause between :meth:`frames` slices (the watch refresh).
-        self.frame_wall_seconds = float(frame_wall_seconds)
         #: Injection backpressure bound; 0 disables (see :meth:`inject`).
         self.max_pending = int(max_pending)
         self._clock = clock
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._pending: deque = deque()
         self._injected_total = 0
@@ -378,42 +370,6 @@ class PacedEngine:
         wall0, sim0 = self._origin  # type: ignore[misc]
         return sim0 + (self._clock() - wall0) * self.dilation
 
-    def _wait_wall(self, seconds: float) -> None:
-        """Sleep ``seconds`` of wall time, at most ``poll_wall_seconds``."""
-        timeout = min(seconds, self.poll_wall_seconds)
-        if timeout > 0:
-            self._sleep(timeout)
-
-    def advance_to(self, sim_target: float) -> None:
-        """Advance the sim clock to ``sim_target``, pacing by ``dilation``.
-
-        Free-run mode (``dilation <= 0``) drains injections once and runs
-        the queue straight to the target. Paced mode interleaves slices of
-        ``sim.run`` with wall-clock sleeps so sim time never runs ahead of
-        ``origin + elapsed * dilation``, draining injections at every
-        slice boundary.
-        """
-        if self.dilation <= 0:
-            self.drain_injections()
-            self.sim.run(until=sim_target)
-            return
-        if self._origin is None:
-            self._origin = (self._clock(), self.sim.now)
-        while True:
-            self.drain_injections()
-            due = self._wall_due()
-            self.sim.run(until=min(due, sim_target))
-            if self.sim.now >= sim_target:
-                return
-            # Sleep toward whichever comes first: the next event, or the
-            # target itself; the poll cap bounds how late an injection
-            # waits to be drained.
-            horizon = sim_target
-            next_event = self.sim.peek()
-            if next_event is not None:
-                horizon = min(horizon, next_event)
-            self._wait_wall(max(0.0, (horizon - due) / self.dilation))
-
     def run_slice(self) -> Optional[float]:
         """Drain injections, then run the sim up to the wall-clock due time.
 
@@ -435,23 +391,3 @@ class PacedEngine:
         if next_event is None:
             return None
         return max(0.0, (next_event - self.sim.now) / self.dilation)
-
-    def frames(
-        self, horizon: float, count: int
-    ) -> Generator[Tuple[int, float], None, None]:
-        """Advance to ``horizon`` in ``count`` slices, yielding after each.
-
-        Yields ``(frame_index, sim_now)`` with ``frame_index`` counting
-        from 1. Between frames the engine pauses ``frame_wall_seconds``
-        of wall time — this is the single pacing implementation behind
-        ``python -m repro watch`` (free-run within a frame, wall pause
-        between frames), and it also composes with ``dilation`` for a
-        continuously paced frame stream.
-        """
-        if count < 1:
-            raise SimulationError(f"frames() needs count >= 1 (got {count})")
-        for frame in range(1, count + 1):
-            if frame > 1 and self.frame_wall_seconds > 0:
-                self._sleep(self.frame_wall_seconds)
-            self.advance_to(horizon * frame / count)
-            yield frame, self.sim.now

@@ -13,7 +13,7 @@ assigning work lives in dispatch.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class RequestLifecycle:
         self.robotics = robotics
         self.admission = admission
         self.all_requests: List[SimRequest] = []
+        #: Called once with each top-level request :meth:`complete_request`
+        #: finishes (never a shard or recovery sub-read), right after its
+        #: ``request.complete`` trace; the live server resolves tickets here.
+        self.on_complete: Optional[Callable[[SimRequest], None]] = None
         self._next_request_id = 0
         self.unavailable: Set[str] = set()
         if ctx.config.unavailable_fraction > 0:
@@ -146,8 +150,14 @@ class RequestLifecycle:
             measured = measure_start <= request.time < measure_end
             self.submit(request, platter, measured)
 
-    def submit(self, request: ReadRequest, platter: str, measured: bool) -> None:
-        """Admit one trace request, shard it if large, and route it in."""
+    def submit(
+        self, request: ReadRequest, platter: str, measured: bool
+    ) -> Optional[SimRequest]:
+        """Admit one trace request, shard it if large, and route it in.
+
+        Returns the top-level request (the parent of a sharded read), or
+        None when admission rejected the read.
+        """
         ctx = self.ctx
         cfg = ctx.config
         slo_class = ""
@@ -168,7 +178,7 @@ class RequestLifecycle:
                         tenant=request.tenant,
                         size_bytes=request.size_bytes,
                     )
-                return
+                return None
             slo = cfg.tenancy.class_of(request.tenant)
             slo_class = slo.name
             deadline = request.time + slo.deadline_seconds
@@ -224,7 +234,7 @@ class RequestLifecycle:
             for shard in shards:
                 self.all_requests.append(shard)
                 self.ingest(shard)
-            return
+            return parent
         sim_request = SimRequest(
             request_id=self._new_id(),
             arrival=request.time,
@@ -239,6 +249,7 @@ class RequestLifecycle:
         )
         self.all_requests.append(sim_request)
         self.ingest(sim_request)
+        return sim_request
 
     def ingest(self, sim_request: SimRequest) -> None:
         """Route one (sub-)request: direct read, or cross-platter recovery.
@@ -276,7 +287,8 @@ class RequestLifecycle:
     def complete_request(self, sim_request: SimRequest) -> None:
         """Completion bookkeeping shared by every completion site:
         propagate up the sub-read hierarchy, record the completion-time
-        histogram for measured top-level requests, and trace."""
+        histogram for measured top-level requests, trace, and hand each
+        finished top-level request to :attr:`on_complete`."""
         ctx = self.ctx
         now = ctx.sim.now
         finished = sim_request.complete(now)
@@ -286,7 +298,9 @@ class RequestLifecycle:
             if finished is not None:
                 tr.emit(now, "request.complete", request_id=finished.request_id)
         for node in (sim_request, finished):
-            if node is not None and node.measured and node.parent is None:
+            if node is None or node.parent is not None:
+                continue
+            if node.measured:
                 ctx.counters.h_completion.observe(node.completion_time)
                 if node.deadline is not None and now > node.deadline:
                     if ctx.counters.deadline_misses is not None:
@@ -300,6 +314,8 @@ class RequestLifecycle:
                             slo_class=node.slo_class,
                             late_seconds=now - node.deadline,
                         )
+            if self.on_complete is not None:
+                self.on_complete(node)
 
     def fan_out_recovery(self, sim_request: SimRequest) -> List[SimRequest]:
         """Cross-platter NC: read the matching tracks on I_p available

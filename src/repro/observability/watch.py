@@ -2,9 +2,10 @@
 
 Two consumers share these helpers:
 
-* ``python -m repro watch`` drives a paced run and calls
-  :func:`render_frame` after every slice — unicode sparklines of the
-  monitor's series plus headline counters, fitting a terminal;
+* ``python -m repro watch`` runs the twin frame by frame and calls
+  :func:`render_frame` after each frame (``watch --follow`` after each
+  ``monitor.sample`` of a live server's feed) — unicode sparklines of
+  the monitor's series plus headline counters, fitting a terminal;
 * ``python -m repro watch --html`` calls :func:`render_html` on an
   exported ``timeseries.json`` payload and writes a single
   self-contained HTML file (inline SVG, no external assets, no

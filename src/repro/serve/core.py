@@ -3,11 +3,13 @@
 :class:`ArchiveServerCore` is everything the live server does *except*
 sockets: an object catalog, per-tenant token-bucket admission with
 ``Retry-After`` derivation, read submission into a :class:`~repro.core.
-sim.kernel.SimKernel`, completion tickets resolved off the tracer
-stream, a fan-out tap for ``GET /events`` subscribers, and a status
-snapshot. Keeping it transport-free is what makes the whole serving path
-testable (and benchmarkable) in pure virtual time — the ``serve_soak``
-scenario drives this class directly, no HTTP anywhere.
+sim.kernel.SimKernel`, completion tickets resolved by the kernel's
+completion seam (:attr:`~repro.core.sim.lifecycle.RequestLifecycle.
+on_complete`), a trace feed that hands every event to the ``GET /events``
+subscribers and keeps none, and a status snapshot. Keeping it
+transport-free is what makes the whole serving path testable (and
+benchmarkable) in pure virtual time — the ``serve_soak`` scenario drives
+this class directly, no HTTP anywhere.
 
 Threading contract: the core is single-threaded. Every method that
 touches simulation state (:meth:`put_object`, :meth:`begin_read`,
@@ -17,8 +19,9 @@ there by wrapping calls in :meth:`~repro.core.events.PacedEngine.inject`,
 which its pacer task drains at slice boundaries on the same asyncio
 loop; virtual-time callers (tests, the soak harness) drive the clock
 themselves and call straight in. The frontend bumps the few counters it
-owns (backpressure rejects, slow-client drops, server errors) on that
-same thread, so nothing here needs a lock.
+owns (backpressure rejects, slow-client drops, events a full ``/events``
+queue lost, server errors) on that same thread, so nothing here needs a
+lock.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.events import PacedEngine
 from ..core.requests import SimRequest
 from ..core.sim import SimConfig, SimKernel
-from ..observability.tracer import RingSink, TraceEvent, Tracer
+from ..observability.tracer import TraceEvent, Tracer
 from ..tenancy.admission import AdmissionController
 from ..tenancy.model import QuotaSpec, TenantRegistry, TenantSpec, skewed_mix
 from ..workload.traces import ReadRequest
@@ -85,7 +88,6 @@ class ServeConfig:
     quota_mbps: float = 4.0
     quota_burst_mb: float = 256.0
     max_pending_ingress: int = 256
-    events_buffer: int = 65536
     sample_interval_seconds: float = 300.0
     sim: SimConfig = field(default_factory=SimConfig)
 
@@ -107,7 +109,7 @@ class ReadRejected:
 
 
 class ReadTicket:
-    """One in-flight read: resolved when its ``request.complete`` fires."""
+    """One in-flight read: resolved when the kernel completes it."""
 
     def __init__(self, request: SimRequest, submitted_ts: float) -> None:
         self.request = request
@@ -145,55 +147,33 @@ class ReadTicket:
             callback(self)
 
 
-class _TapSink:
-    """Tracer sink that stores into a ring and fans out to the core.
+class _EventFeed:
+    """The server's tracer sink: hands each event to the ``/events``
+    subscribers and keeps nothing.
 
-    The fan-out is how completion tickets get resolved and how
-    ``GET /events`` subscribers see the stream: one hook on the single
-    place every trace record already passes through, instead of patching
-    emission sites across the kernel.
+    ``count`` is the number of events emitted; ``/status`` reports it as
+    the trace block's ``captured_events``.
     """
 
-    def __init__(self, core: "ArchiveServerCore", capacity: int) -> None:
-        self.ring = RingSink(capacity=capacity)
-        self._core = core
-
-    @property
-    def dropped(self) -> int:
-        """Events the ring evicted (flight-recorder truncation count)."""
-        return self.ring.dropped
+    def __init__(self) -> None:
+        self.subscribers: List[Callable[[TraceEvent], None]] = []
+        self.count = 0
 
     def append(self, event: TraceEvent) -> None:
-        """Store one event and notify the core's tap."""
-        self.ring.append(event)
-        self._core._on_trace_event(event)
-
-    def __len__(self) -> int:
-        return len(self.ring)
-
-    def __iter__(self):
-        """Iterate the retained (ring) events, oldest first."""
-        return iter(self.ring)
-
-
-class Subscription:
-    """One ``/events`` consumer: a callback plus its drop accounting."""
-
-    def __init__(self, callback: Callable[[TraceEvent], None]) -> None:
-        self.callback = callback
-        #: events the consumer-side queue refused (slow client); bumped
-        #: by the frontend, reported in ``/status``.
-        self.dropped = 0
+        """Count one event and hand it to every subscriber."""
+        self.count += 1
+        for callback in self.subscribers:
+            callback(event)
 
 
 class ArchiveServerCore:
-    """The archive service's brain: catalog, admission, kernel, tap."""
+    """The archive service's brain: catalog, admission, kernel, feed."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         cfg = self.config
-        self._sink = _TapSink(self, cfg.events_buffer)
-        self.tracer = Tracer(self._sink)
+        self._feed = _EventFeed()
+        self.tracer = Tracer(self._feed)
         # The kernel runs tenancy-free: admission lives *here*, at the
         # frontend, so a rejected request never reaches the kernel and
         # an admitted one is never charged twice.
@@ -201,6 +181,7 @@ class ArchiveServerCore:
         if sim_cfg.tenancy is not None:
             sim_cfg = replace(sim_cfg, tenancy=None)
         self.kernel = SimKernel(sim_cfg, tracer=self.tracer)
+        self.kernel.lifecycle.on_complete = self._on_read_complete
         self.sim = self.kernel.ctx.sim
         self.engine = PacedEngine(
             self.sim, dilation=cfg.dilation, max_pending=cfg.max_pending_ingress
@@ -214,7 +195,6 @@ class ArchiveServerCore:
         #: object_id -> (size_bytes, platter_id)
         self.catalog: Dict[str, Tuple[int, str]] = {}
         self._inflight: Dict[int, ReadTicket] = {}
-        self._subscribers: List[Subscription] = []
         self.counters: Dict[str, int] = {
             "puts": 0,
             "reads_submitted": 0,
@@ -223,6 +203,7 @@ class ArchiveServerCore:
             "rejected_backpressure": 0,
             "not_found": 0,
             "slow_clients": 0,
+            "events_dropped": 0,
             "server_errors": 0,
         }
         if cfg.sample_interval_seconds > 0:
@@ -231,7 +212,7 @@ class ArchiveServerCore:
             )
 
     # ------------------------------------------------------------------ #
-    # Tracer tap
+    # Completion seam and trace feed
     # ------------------------------------------------------------------ #
 
     def _emit_sample(self, ts: float) -> float:
@@ -239,34 +220,31 @@ class ArchiveServerCore:
         self.tracer.emit(ts, "monitor.sample", **self.kernel.sample_state())
         return self.config.sample_interval_seconds
 
-    def _on_trace_event(self, event: TraceEvent) -> None:
-        """Resolve completion tickets and fan out to subscribers."""
-        if event.kind == "request.complete" and event.request_id is not None:
-            ticket = self._inflight.pop(event.request_id, None)
-            if ticket is not None:
-                self.counters["reads_completed"] += 1
-                self.tracer.emit(
-                    event.ts,
-                    "serve.complete",
-                    request_id=event.request_id,
-                    tenant=ticket.request.tenant,
-                    latency_s=event.ts - ticket.submitted_ts,
-                    degraded=ticket.request.degraded,
-                )
-                ticket._resolve(event.ts)
-        for sub in self._subscribers:
-            sub.callback(event)
+    def _on_read_complete(self, request: SimRequest) -> None:
+        """Kernel completion seam: trace ``serve.complete``, resolve the ticket."""
+        ticket = self._inflight.pop(request.request_id, None)
+        if ticket is None:
+            return
+        ts = self.sim.now
+        self.counters["reads_completed"] += 1
+        self.tracer.emit(
+            ts,
+            "serve.complete",
+            request_id=request.request_id,
+            tenant=request.tenant,
+            latency_s=ts - ticket.submitted_ts,
+            degraded=request.degraded,
+        )
+        ticket._resolve(ts)
 
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> Subscription:
+    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Register an ``/events`` consumer, called with every trace event."""
-        sub = Subscription(callback)
-        self._subscribers.append(sub)
-        return sub
+        self._feed.subscribers.append(callback)
 
-    def unsubscribe(self, sub: Subscription) -> None:
+    def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Remove a consumer registered by :meth:`subscribe`."""
-        if sub in self._subscribers:
-            self._subscribers.remove(sub)
+        if callback in self._feed.subscribers:
+            self._feed.subscribers.remove(callback)
 
     # ------------------------------------------------------------------ #
     # Data path (sim-clock thread only)
@@ -359,12 +337,9 @@ class ArchiveServerCore:
         request = ReadRequest(
             time=now, file_id=object_id, size_bytes=size_bytes, tenant=tenant
         )
-        lifecycle = self.kernel.lifecycle
-        before = len(lifecycle.all_requests)
-        lifecycle.submit(request, platter, measured=True)
-        # submit() appends the top-level request first (parent before
-        # shards), so the ticket keys off exactly that record.
-        top = lifecycle.all_requests[before]
+        # The kernel runs tenancy-free, so submit() admits every read and
+        # returns its top-level request (the parent of a sharded read).
+        top = self.kernel.lifecycle.submit(request, platter, measured=True)
         ticket = ReadTicket(top, now)
         self._inflight[top.request_id] = ticket
         self.counters["reads_submitted"] += 1
@@ -402,7 +377,7 @@ class ArchiveServerCore:
             "counters": counters,
             "gauges": self.kernel.sample_state(),
             "trace": self.tracer.as_dict(),
-            "subscribers": len(self._subscribers),
+            "subscribers": len(self._feed.subscribers),
             "tenants": [t.name for t in self.registry.tenants]
             if self.registry
             else [],

@@ -403,16 +403,21 @@ class ArchiveServer:
         """NDJSON-stream tracer events until the client goes away.
 
         Events are fanned out of the pacer's slices into a bounded asyncio
-        queue; overflow drops (and counts) rather than buffering without
-        bound, and a client that stops draining its socket is cut off by
-        the slow-client timeout.
+        queue; overflow drops them, counted in ``/status`` as
+        ``counters.events_dropped``, rather than buffering without bound,
+        and a client that stops draining its socket is cut off by the
+        slow-client timeout.
         """
         queue: asyncio.Queue = asyncio.Queue(maxsize=EVENTS_QUEUE_DEPTH)
+        counters = self.core.counters
 
         def on_event(event: TraceEvent) -> None:
-            _offer(queue, event, subscription)
+            try:
+                queue.put_nowait(event)
+            except asyncio.QueueFull:
+                counters["events_dropped"] += 1
 
-        subscription = self.core.subscribe(on_event)
+        self.core.subscribe(on_event)
         try:
             await send_with_timeout(writer, stream_head(), self.slow_client_timeout)
             while not self._stopping:
@@ -429,15 +434,7 @@ class ArchiveServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         finally:
-            self.core.unsubscribe(subscription)
-
-
-def _offer(queue: asyncio.Queue, event: TraceEvent, subscription: Any) -> None:
-    """Enqueue one event for a subscriber, dropping (counted) when full."""
-    try:
-        queue.put_nowait(event)
-    except asyncio.QueueFull:
-        subscription.dropped += 1
+            self.core.unsubscribe(on_event)
 
 
 def _set_result(future: asyncio.Future, value: Any) -> None:

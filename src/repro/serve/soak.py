@@ -1,14 +1,15 @@
 """Virtual-time soak: closed-loop clients against the server core.
 
 The ``serve_soak`` bench scenario needs the *serving path* — catalog,
-admission, ticket resolution, tracer tap — under sustained concurrent
-load, but with bit-identical counters across repetitions so the
-baseline's simulated metrics can be EXACT-gated. So the soak runs the
-whole thing in virtual time: closed-loop clients are continuation
-chains on the simulation's own event queue (submit → complete → think →
-next), no sockets, no wall clock, no dilation. The p99 the scenario
-reports is *simulated* end-to-end API latency; wall-clock behaviour is
-the live server's job and is exercised by the loadgen smoke instead.
+admission, ticket resolution from the kernel's completion seam, the
+``/events`` trace feed — under sustained concurrent load, but with
+bit-identical counters across repetitions so the baseline's simulated
+metrics can be EXACT-gated. So the soak runs the whole thing in virtual
+time: closed-loop clients are continuation chains on the simulation's
+own event queue (submit → complete → think → next), no sockets, no wall
+clock, no dilation. The p99 the scenario reports is *simulated*
+end-to-end API latency; wall-clock behaviour is the live server's job
+and is exercised by the loadgen smoke instead.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..observability.tracer import TraceEvent
 from .core import ArchiveServerCore, ReadRejected, ReadTicket
 from .loadgen import percentile
 
@@ -70,7 +72,13 @@ def run_soak(core: ArchiveServerCore, spec: SoakSpec) -> Dict[str, float]:
     objects = sorted(core.catalog)
 
     latencies: List[float] = []
-    state = {"finished": 0, "issued": 0, "rejects": 0, "skipped": 0}
+    state = {"finished": 0, "issued": 0, "rejects": 0, "skipped": 0, "traced_rejects": 0}
+
+    def count_rejects(event: TraceEvent) -> None:
+        if event.kind == "admission.reject":
+            state["traced_rejects"] += 1
+
+    core.subscribe(count_rejects)
 
     def start_client(client: int) -> None:
         plan_rng = np.random.default_rng([spec.seed, 100 + client])
@@ -111,10 +119,9 @@ def run_soak(core: ArchiveServerCore, spec: SoakSpec) -> Dict[str, float]:
     for client in range(spec.clients):
         start_client(client)
     sim.run()
+    core.unsubscribe(count_rejects)
 
-    traced_rejects = sum(
-        1 for event in core.tracer.events() if event.kind == "admission.reject"
-    )
+    traced_rejects = state["traced_rejects"]
     controller_rejects = (
         core.admission.total_rejected() if core.admission is not None else 0
     )

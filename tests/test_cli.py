@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -251,6 +252,31 @@ class TestTraceExportCommands:
         assert "sim_bytes_read_total" in metrics
         prom = open(os.path.join(out_dir, "metrics.prom")).read()
         assert "# TYPE sim_bytes_read_total counter" in prom
+
+
+class TestWatchCommand:
+    _run = ["--seed", "2", "watch", "--hours", "0.05", "--rate-factor", "0.3",
+            "--drives", "4", "--shuttles", "4", "--platters", "120"]
+    _exported = ("report.json", "timeseries.json", "metrics.json")
+
+    def test_frame_count_leaves_the_exported_run_byte_identical(self, tmp_path, capsys):
+        exported = {}
+        for frames in (1, 5):
+            out_dir = tmp_path / f"frames-{frames}"
+            code = main([*self._run, "--frames", str(frames), "--out", str(out_dir)])
+            assert code == 0
+            exported[frames] = {
+                name: (out_dir / name).read_bytes() for name in self._exported
+            }
+        assert exported[1] == exported[5]
+        assert "result    :" in capsys.readouterr().out
+
+    def test_refresh_pauses_between_frames_only(self, monkeypatch, capsys):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        assert main([*self._run, "--frames", "3", "--refresh", "0.5"]) == 0
+        # N frames -> N-1 pauses, never one after the last frame.
+        assert sleeps == [0.5, 0.5]
 
 
 class TestBenchCommands:

@@ -37,6 +37,7 @@ from repro.serve.loadgen import (
     open_loop_schedule,
     percentile,
 )
+from repro.serve.server import EVENTS_QUEUE_DEPTH
 
 
 def parse(raw: bytes):
@@ -258,10 +259,63 @@ def test_put_and_read_complete_in_virtual_time():
     ticket = core.begin_read("obj-a")
     assert isinstance(ticket, ReadTicket)
     assert not ticket.done
-    core.engine.advance_to(core.sim.now + 7200.0)
+    core.sim.run(until=core.sim.now + 7200.0)
     assert ticket.done
     assert ticket.latency_sim_seconds > 0
     assert core.counters["reads_completed"] == 1
+
+
+def test_reads_complete_from_the_kernel_cause_before_effect():
+    """Plain, sharded and recovered reads: one completion each, in order.
+
+    The subscriber must see the top-level ``request.complete`` before the
+    ``serve.complete`` it causes, and the kernel's completion seam fires
+    once per top-level read, never for a shard or a recovery sub-read.
+    """
+    core = small_core(tenants=0)
+    lifecycle = core.kernel.lifecycle
+    events = []
+    core.subscribe(events.append)
+    completed = []
+    resolve = lifecycle.on_complete
+
+    def record(request):
+        completed.append(request)
+        resolve(request)
+
+    lifecycle.on_complete = record
+    config = core.kernel.config
+    shard_bytes = int(config.track_payload_bytes) * config.shard_tracks_limit
+    core.put_object("plain", 64_000_000)
+    core.put_object("sharded", 3 * shard_bytes)
+    core.put_object("recovered", 64_000_000)
+
+    def read(object_id):
+        ticket = core.begin_read(object_id)
+        core.sim.run()
+        assert ticket.done
+        return ticket.request
+
+    plain = read("plain")
+    sharded = read("sharded")
+    # An unavailable target platter forces the cross-platter recovery fan-out.
+    lifecycle.unavailable.add(core.catalog["recovered"][1])
+    recovered = read("recovered")
+    assert not plain.children
+    assert len(sharded.children) == 3
+    assert recovered.degraded and recovered.children
+    assert [r.request_id for r in completed] == [
+        plain.request_id, sharded.request_id, recovered.request_id
+    ]
+    assert core.counters["reads_completed"] == 3
+    for request in (plain, sharded, recovered):
+        kinds = [
+            e.kind
+            for e in events
+            if e.request_id == request.request_id
+            and e.kind in ("request.complete", "serve.complete")
+        ]
+        assert kinds == ["request.complete", "serve.complete"]
 
 
 def test_unknown_object_is_a_404_not_an_exception():
@@ -305,14 +359,14 @@ def test_admission_reject_traces_mirror_http_429s_exactly():
     core = small_core()
     tenant = core.registry.tenants[0].name
     core.put_object("obj-a", 24_000_000, tenant)
+    events = []
+    core.subscribe(events.append)
     rejects = 0
     for _ in range(10):
         if isinstance(core.begin_read("obj-a", tenant), ReadRejected):
             rejects += 1
     assert rejects > 0
-    traced = sum(
-        1 for event in core.tracer.sink if event.kind == "admission.reject"
-    )
+    traced = sum(1 for event in events if event.kind == "admission.reject")
     assert traced == rejects
     assert core.counters["rejected_quota"] == rejects
     assert core.admission.total_rejected() == rejects
@@ -524,6 +578,48 @@ def test_events_stream_shows_a_get_issued_by_another_client():
     assert status == 200
     assert kinds[0] == "serve.get"
     assert kinds[-1] == "serve.complete"
+
+
+def test_status_counts_events_a_full_subscriber_queue_dropped():
+    core = small_core(dilation=2000.0, tenants=0)
+    burst = EVENTS_QUEUE_DEPTH + 8
+
+    def put_burst():
+        for i in range(burst):
+            core.put_object(f"burst-{i}", 1_000_000)
+
+    async def scenario(server):
+        client = ClientConnection("127.0.0.1", server.port, timeout=10.0)
+        await put_one(client)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n")
+        await writer.drain()
+        await reader.readuntil(b"\r\n\r\n")
+        # One slice emits more events than the subscriber's queue holds;
+        # the stream task cannot drain it until the slice ends.
+        await server.call_core(put_burst)
+        _, _, body = await client.request("GET", "/status")
+        connected = json.loads(body)
+        writer.close()
+        # Keep events flowing until the stream notices the disconnect.
+        for _ in range(200):
+            await client.request("GET", "/archive/obj-1")
+            _, _, body = await client.request("GET", "/status")
+            after = json.loads(body)
+            if after["subscribers"] == 0:
+                break
+            await asyncio.sleep(0.01)
+        await client.close()
+        return connected, after
+
+    connected, after = serve_live(core, scenario)
+    assert connected["subscribers"] == 1
+    assert connected["counters"]["events_dropped"] >= 8
+    # The count outlives the subscriber that dropped the events.
+    assert after["subscribers"] == 0
+    assert after["counters"]["events_dropped"] >= connected["counters"]["events_dropped"]
+    assert after["trace"]["dropped_events"] == 0
+    assert after["trace"]["captured_events"] > burst
 
 
 def boom() -> None:

@@ -23,6 +23,7 @@ from repro.core.sim import (
 )
 from repro.core.sim.dispatch import dispatch_policy_for
 from repro.workload.generator import WorkloadGenerator
+from repro.workload.traces import ReadRequest
 
 
 def _ctx(**overrides):
@@ -179,6 +180,28 @@ class TestLifecycle:
         shards = [r for r in kernel.lifecycle.all_requests if r.parent is not None]
         assert parents and shards
         assert all(s.parent in parents for s in shards)
+
+    def test_submit_returns_the_top_level_request(self):
+        kernel = SimKernel(SimConfig(num_platters=200, seed=4))
+        lifecycle = kernel.lifecycle
+        platter = kernel.robotics.platters[0]
+        plain = lifecycle.submit(ReadRequest(0.0, "plain", 4_000_000), platter, True)
+        assert plain is lifecycle.all_requests[-1]
+        assert plain.parent is None and not plain.children
+        big = kernel.config.track_payload_bytes * kernel.config.shard_tracks_limit * 3
+        parent = lifecycle.submit(ReadRequest(0.0, "big", big), platter, True)
+        assert parent.parent is None and len(parent.children) == 3
+        assert all(shard.parent is parent for shard in parent.children)
+        assert parent in lifecycle.all_requests
+
+    def test_submit_returns_none_when_admission_rejects(self):
+        tenancy = FakeTenancy()
+        tenancy.admission.admit = lambda tenant, size_bytes, time: False
+        kernel = SimKernel(SimConfig(num_platters=200, tenancy=tenancy, seed=4))
+        platter = kernel.robotics.platters[0]
+        request = ReadRequest(0.0, "refused", 4_000_000)
+        assert kernel.lifecycle.submit(request, platter, True) is None
+        assert kernel.lifecycle.all_requests == []
 
 
 class FakeSLO:
