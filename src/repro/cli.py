@@ -585,8 +585,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
     from .core import SimConfig
     from .serve import ArchiveServerCore, ServeConfig, run_server
 
@@ -610,12 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
     core = ArchiveServerCore(config)
-
-    def _terminate(signum, frame):
-        """Map SIGTERM onto the KeyboardInterrupt clean-shutdown path."""
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
     return run_server(
         core,
         host=args.host,

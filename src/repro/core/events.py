@@ -12,7 +12,12 @@ The engine is deliberately small and deterministic:
 * events with equal timestamps fire in scheduling order (a monotonically
   increasing sequence number breaks ties), so a run is fully reproducible;
 * cancellation is O(1) (lazy deletion via a ``cancelled`` flag; flagged
-  entries are discarded when they reach the head of the heap).
+  entries are discarded when they reach the head of the heap);
+* a caller may take an event's sequence number early
+  (:meth:`Simulation.reserve_seq`) and push the event later
+  (:meth:`Simulation.schedule_reserved`), so a sorted stream of future
+  events can feed the heap one head at a time yet fire exactly as if
+  every event had been scheduled when its number was taken.
 """
 
 from __future__ import annotations
@@ -81,6 +86,12 @@ QueueEntry = Tuple[float, int, Event]
 class Simulation:
     """An event-queue discrete event simulator.
 
+    Besides :meth:`schedule`, a caller that holds a sorted stream of
+    future events can reserve each one's sequence number up front
+    (:meth:`reserve_seq`) and push them one at a time
+    (:meth:`schedule_reserved`); :attr:`pending` then counts only what
+    has been pushed.
+
     Example::
 
         sim = Simulation()
@@ -113,7 +124,12 @@ class Simulation:
 
     @property
     def pending(self) -> int:
-        """Entries in the heap, stale (cancelled-unskipped) included."""
+        """Entries in the heap, stale (cancelled-unskipped) included.
+
+        An event whose sequence number is reserved but not yet pushed
+        (see :meth:`reserve_seq`) is not counted: the request lifecycle's
+        streamed intake keeps only its head arrival in the heap.
+        """
         return len(self._heap)
 
     @property
@@ -155,6 +171,37 @@ class Simulation:
     ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         return self.schedule(time - self._now, callback, label)
+
+    def reserve_seq(self) -> int:
+        """Take the next sequence number now, for an event pushed later.
+
+        The number is counted in ``pushes`` at once, so
+        :attr:`scheduler_stats` reads as if the event had been scheduled
+        here. Push it with :meth:`schedule_reserved` before the clock can
+        reach it: the event then fires exactly where an event scheduled
+        at reservation time would have, because the heap orders by
+        ``(time, seq)``.
+        """
+        seq = self._pushes
+        self._pushes = seq + 1
+        return seq
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[[], None], label: str = ""
+    ) -> Event:
+        """Push ``callback`` at absolute ``time`` under a reserved ``seq``.
+
+        ``seq`` comes from :meth:`reserve_seq`, which already counted the
+        push; this call does not count it again. Raises
+        :class:`SimulationError` for a ``time`` in the past.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule in the past (time={time}, now={self._now})"
+            )
+        event = Event(time, seq, callback, label)
+        heappush(self._heap, (time, seq, event))
+        return event
 
     def set_sampler(
         self,

@@ -9,15 +9,26 @@ network coding recovery) and completes when the last sub-read finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import sys
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..workload.traces import ReadRequest
 
+#: ``dataclass(slots=True)`` needs Python 3.10; on 3.9 requests keep a
+#: ``__dict__`` and behave the same.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass
+
+@dataclass(**_SLOTS)
 class SimRequest:
-    """One read request inside the simulator."""
+    """One read request inside the simulator.
+
+    Slotted where the interpreter allows it: a twin keeps every request
+    it has seen, so dropping the per-instance ``__dict__`` (and sharing
+    one empty ``children`` tuple until a fan-out) is most of a request's
+    memory.
+    """
 
     request_id: int
     arrival: float
@@ -29,7 +40,7 @@ class SimRequest:
     completion: Optional[float] = None
     parent: Optional["SimRequest"] = None
     pending_subreads: int = 0
-    children: List["SimRequest"] = field(default_factory=list)
+    children: Sequence["SimRequest"] = ()
     # Transient-fault lifecycle bookkeeping (chaos harness):
     retries: int = 0  # read-retry ladder rungs taken while serving
     metadata_attempts: int = 0  # arrivals bounced off a metadata outage

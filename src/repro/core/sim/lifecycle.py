@@ -8,12 +8,22 @@ recovery fan-out, abandonment and completion accounting — plus the
 platter-set erasure-coding geometry and the run's unavailable-platter set.
 The mechanics of actually serving requests live in the robotics subsystem;
 assigning work lives in dispatch.
+
+Trace arrivals are *streamed* into the event engine: :meth:`RequestLifecycle.
+assign_trace` files each arrival in a sorted intake under a sequence number
+reserved at assign time (:meth:`~repro.core.events.Simulation.reserve_seq`),
+and only the intake's head has an engine event. When it fires, the next head
+is pushed under its reserved number, so every arrival fires exactly where an
+eagerly scheduled one would, while the heap holds one pending arrival instead
+of one per unread trace record.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from collections import deque
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +56,16 @@ class RequestLifecycle:
         #: ``request.complete`` trace; the live server resolves tickets here.
         self.on_complete: Optional[Callable[[SimRequest], None]] = None
         self._next_request_id = 0
+        #: Streamed arrivals ``(time, reserved seq, request)``, sorted by
+        #: ``(time, seq)``; its front always has an engine event.
+        self._intake: Deque[Tuple[float, int, SimRequest]] = deque()
+        #: Seqs of intake entries that already have an engine event.
+        self._armed: Set[int] = set()
+        #: True while :meth:`assign_trace` runs: arrivals go to the intake.
+        self._streaming = False
+        #: An arrival this assign_trace call filed sorts before its
+        #: predecessor, so the intake must be re-sorted before arming.
+        self._intake_unsorted = False
         self.unavailable: Set[str] = set()
         if ctx.config.unavailable_fraction > 0:
             self._sample_unavailable()
@@ -124,12 +144,19 @@ class RequestLifecycle:
         measure_end: float,
         skew: Optional[float] = None,
     ) -> None:
-        """Map trace requests onto platters and schedule their arrivals.
+        """Map trace requests onto platters and stream in their arrivals.
 
         ``skew`` enables a Zipf distribution over platters (Section 7.5's
         skewed-request experiment); None means uniform (the default
         methodology: "we distribute the read requests to platters stored in
         the library uniformly").
+
+        Every arrival this call routes (a read, its shards, recovery
+        sub-reads of an unavailable platter) enters the sorted intake
+        under a sequence number reserved now, instead of an engine event
+        each; the intake's head is armed once the loop ends. ``trace``
+        may be any iterable, in any order, and later calls (mid-run
+        included) may add arrivals that sort before earlier ones.
         """
         rng = self.ctx.rng
         platters = self.robotics.platters
@@ -141,14 +168,22 @@ class RequestLifecycle:
             weights = ranks**-skew
             weights /= weights.sum()
             platter_order = rng.permutation(n)
-        for request in trace:
-            if weights is None:
-                platter = platters[int(rng.integers(0, n))]
-            else:
-                rank = int(rng.choice(n, p=weights))
-                platter = platters[int(platter_order[rank])]
-            measured = measure_start <= request.time < measure_end
-            self.submit(request, platter, measured)
+        self._streaming = True
+        try:
+            for request in trace:
+                if weights is None:
+                    platter = platters[int(rng.integers(0, n))]
+                else:
+                    rank = int(rng.choice(n, p=weights))
+                    platter = platters[int(platter_order[rank])]
+                measured = measure_start <= request.time < measure_end
+                self.submit(request, platter, measured)
+        finally:
+            self._streaming = False
+            if self._intake_unsorted:
+                self._intake = deque(sorted(self._intake))
+                self._intake_unsorted = False
+            self._arm_intake()
 
     def submit(
         self, request: ReadRequest, platter: str, measured: bool
@@ -255,7 +290,7 @@ class RequestLifecycle:
         """Route one (sub-)request: direct read, or cross-platter recovery.
 
         Availability is re-checked when the arrival event fires (see
-        :meth:`_schedule_arrival`), so requests routed before a dynamic
+        :meth:`_arrive`), so requests routed before a dynamic
         failure still recover correctly.
         """
         if sim_request.platter_id in self.unavailable:
@@ -354,61 +389,101 @@ class RequestLifecycle:
     # ------------------------------------------------------------------ #
 
     def _schedule_arrival(self, sim_request: SimRequest) -> None:
-        # The two closures below are allocated once per (sub-)request;
-        # reaching state through ``self`` keeps their captured-cell count
-        # (and therefore run-time memory) at the monolith's level.
-        def arrive() -> None:
-            ctx = self.ctx
-            # Every arrival needs a metadata lookup; during an outage the
-            # request parks until the repair event fires, then re-arrives
-            # after its capped-exponential backoff (the client's next poll
-            # catches the failover). Event-driven: an outage that never
-            # repairs costs zero events instead of an unbounded retry storm.
-            if not self.faults.metadata_available:
-                ctx.counters.metadata_retries.inc()
-                sim_request.metadata_attempts += 1
-                sim_request.mark_degraded()
-                self.faults.add_metadata_waiter(retry_after_repair)
-                if ctx.tracer is not None:
-                    ctx.tracer.emit(
-                        ctx.sim.now,
-                        "request.metadata_blocked",
-                        request_id=sim_request.request_id,
-                        attempts=sim_request.metadata_attempts,
-                    )
-                return
+        """File one (sub-)request's arrival: in the intake while
+        :meth:`assign_trace` runs, else as an engine event of its own.
+
+        Re-ingested requests (failure re-routing) arrive "now"; their
+        original arrival stamp is kept for completion-time accounting.
+        The event's callback is a ``partial`` of a bound method, so an
+        arrival leaves no reference cycle behind once it has fired.
+        """
+        sim = self.ctx.sim
+        at = max(sim_request.arrival, sim.now)
+        if self._streaming:
+            intake = self._intake
+            if intake and at < intake[-1][0]:
+                self._intake_unsorted = True
+            intake.append((at, sim.reserve_seq(), sim_request))
+            return
+        sim.schedule_at(at, partial(self._arrive, sim_request), label="arrival")
+
+    def _arm_intake(self) -> None:
+        """Give the intake's front an engine event unless it has one.
+
+        Every armed entry stays in the intake until it fires and the
+        front is always armed, so the engine always fires the front.
+        """
+        if self._intake:
+            at, seq, _request = self._intake[0]
+            if seq not in self._armed:
+                self._armed.add(seq)
+                self.ctx.sim.schedule_reserved(
+                    at, seq, self._fire_intake_head, label="arrival"
+                )
+
+    def _fire_intake_head(self) -> None:
+        """The intake front's event: arm the next front, then arrive."""
+        _at, seq, sim_request = self._intake.popleft()
+        self._armed.discard(seq)
+        self._arm_intake()
+        self._arrive(sim_request)
+
+    def _arrive(self, sim_request: SimRequest) -> None:
+        """A (sub-)request reaches the library: metadata lookup, then
+        enqueue (or recovery fan-out when its platter failed meanwhile).
+
+        Every arrival needs a metadata lookup; during an outage the
+        request parks until the repair event fires, then re-arrives after
+        its capped-exponential backoff (the client's next poll catches
+        the failover). Event-driven: an outage that never repairs costs
+        zero events instead of an unbounded retry storm.
+        """
+        ctx = self.ctx
+        if not self.faults.metadata_available:
+            ctx.counters.metadata_retries.inc()
+            sim_request.metadata_attempts += 1
+            sim_request.mark_degraded()
+            self.faults.add_metadata_waiter(
+                partial(self._retry_after_repair, sim_request)
+            )
             if ctx.tracer is not None:
                 ctx.tracer.emit(
                     ctx.sim.now,
-                    "request.arrival",
+                    "request.metadata_blocked",
                     request_id=sim_request.request_id,
-                    arrival=sim_request.arrival,
-                    platter=sim_request.platter_id,
-                    size_bytes=sim_request.size_bytes,
-                    recovery=sim_request.is_recovery,
+                    attempts=sim_request.metadata_attempts,
                 )
-            # A failure may have struck between routing and arrival.
-            if sim_request.platter_id in self.unavailable:
-                if not self.fan_out_recovery(sim_request):
-                    self.abandon_request(sim_request)
-            else:
-                self._enqueue(sim_request)
-            ctx.request_dispatch()
-
-        def retry_after_repair() -> None:
-            cfg = self.ctx.config
-            exponent = min(sim_request.metadata_attempts - 1, 32)
-            delay = min(
-                cfg.metadata_backoff_base_seconds * (2.0 ** exponent),
-                cfg.metadata_backoff_cap_seconds,
+            return
+        if ctx.tracer is not None:
+            ctx.tracer.emit(
+                ctx.sim.now,
+                "request.arrival",
+                request_id=sim_request.request_id,
+                arrival=sim_request.arrival,
+                platter=sim_request.platter_id,
+                size_bytes=sim_request.size_bytes,
+                recovery=sim_request.is_recovery,
             )
-            self.ctx.counters.metadata_backoff.inc(delay)
-            self.ctx.sim.schedule(delay, arrive, label="metadata-retry")
+        # A failure may have struck between routing and arrival.
+        if sim_request.platter_id in self.unavailable:
+            if not self.fan_out_recovery(sim_request):
+                self.abandon_request(sim_request)
+        else:
+            self._enqueue(sim_request)
+        ctx.request_dispatch()
 
-        # Re-ingested requests (failure re-routing) arrive "now"; their
-        # original arrival stamp is kept for completion-time accounting.
-        at = max(sim_request.arrival, self.ctx.sim.now)
-        self.ctx.sim.schedule_at(at, arrive, label="arrival")
+    def _retry_after_repair(self, sim_request: SimRequest) -> None:
+        """Metadata repaired: re-arrive after the capped backoff."""
+        cfg = self.ctx.config
+        exponent = min(sim_request.metadata_attempts - 1, 32)
+        delay = min(
+            cfg.metadata_backoff_base_seconds * (2.0 ** exponent),
+            cfg.metadata_backoff_cap_seconds,
+        )
+        self.ctx.counters.metadata_backoff.inc(delay)
+        self.ctx.sim.schedule(
+            delay, partial(self._arrive, sim_request), label="metadata-retry"
+        )
 
     def _enqueue(self, sim_request: SimRequest) -> None:
         ctx = self.ctx

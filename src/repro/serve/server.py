@@ -15,6 +15,8 @@ refill-derived ``Retry-After``, and a client that stops reading its
 instead of growing an unbounded buffer. A pacer that raises fails
 fast: the traceback is logged under an error id, and every pending and
 later request that needs the twin gets a 500 carrying that id.
+:meth:`ArchiveServer.stop` ends open connections itself, so a stop with
+keep-alive or ``/events`` clients attached leaves no handler cancelled.
 
 Routes::
 
@@ -31,8 +33,10 @@ import asyncio
 import json
 import logging
 import math
+import signal
+import threading
 import uuid
-from typing import Any, Callable, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from ..observability.tracer import TraceEvent
 from .core import ArchiveServerCore, ReadRejected, ReadTicket
@@ -48,12 +52,18 @@ from .http import (
 
 #: Queue depth of one /events subscriber before events are dropped.
 EVENTS_QUEUE_DEPTH = 1024
+#: Wall seconds :meth:`ArchiveServer.stop` waits for open connections to end.
+STOP_GRACE_SECONDS = 5.0
 
 LOG = logging.getLogger(__name__)
 
 
 class BackpressureError(Exception):
     """The engine's injection queue is full — surface as HTTP 503."""
+
+
+class ServerStopping(Exception):
+    """The server is stopping; surface as HTTP 503."""
 
 
 class EngineFailure(Exception):
@@ -95,6 +105,10 @@ class ArchiveServer:
         self._wake: Optional[asyncio.Future] = None
         #: futures handlers await and only the pacer resolves.
         self._outstanding: Set[asyncio.Future] = set()
+        #: open connections (handler task -> writer), ended by stop().
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: the queues of open /events streams, woken by stop().
+        self._event_queues: Set[asyncio.Queue] = set()
         self._stopping = False
         #: set once the pacer has failed; every engine-bound request then
         #: gets a 500 carrying it, and run_server exits non-zero.
@@ -116,10 +130,27 @@ class ArchiveServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, close the socket, stop the pacer."""
+        """Stop accepting, end every open connection, stop the pacer.
+
+        Connections are ended here rather than left for the event loop
+        to cancel: reads still waiting on the twin fail (503), every
+        transport is closed, each ``/events`` stream is woken, and the
+        handler tasks are awaited for at most :data:`STOP_GRACE_SECONDS`,
+        so no handler ends cancelled.
+        """
         self._stopping = True
         if self._server is not None:
             self._server.close()
+        for future in list(self._outstanding):
+            _set_exception(future, ServerStopping())
+        for writer in self._connections.values():
+            writer.close()
+        for queue in self._event_queues:
+            if not queue.full():
+                queue.put_nowait(None)
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=STOP_GRACE_SECONDS)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         pacer, self._pacer = self._pacer, None
@@ -180,10 +211,18 @@ class ArchiveServer:
         for future in list(self._outstanding):
             _set_exception(future, EngineFailure(self.error_id))
 
+    def _check_running(self) -> None:
+        """Raise what an engine-bound request gets once the pacer died
+        (:class:`EngineFailure`) or the server is stopping."""
+        if self.error_id is not None:
+            raise EngineFailure(self.error_id)
+        if self._stopping:
+            raise ServerStopping()
+
     async def _resolved(self, future: asyncio.Future) -> Any:
         """Await a future only the pacer resolves; fail fast once it died."""
-        if self.error_id is not None and not future.done():
-            raise EngineFailure(self.error_id)
+        if not future.done():
+            self._check_running()
         self._outstanding.add(future)
         try:
             return await future
@@ -198,8 +237,7 @@ class ArchiveServer:
         in the pacer, which is the point of the bound — and
         :class:`EngineFailure` once the pacer has died.
         """
-        if self.error_id is not None:
-            raise EngineFailure(self.error_id)
+        self._check_running()
         future: asyncio.Future = asyncio.get_running_loop().create_future()
 
         def run() -> None:
@@ -247,8 +285,10 @@ class ArchiveServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one connection (keep-alive loop); never raises."""
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._stopping:
                 try:
                     request = await read_request(reader, self.request_timeout)
                 except HttpError as exc:
@@ -264,7 +304,7 @@ class ArchiveServer:
                 if request is None:
                     break
                 if request.method == "GET" and request.path == "/events":
-                    await self._stream_events(writer)
+                    await self._stream_events(reader, writer)
                     break
                 response = await self._dispatch(request)
                 await self._send(writer, response)
@@ -275,6 +315,7 @@ class ArchiveServer:
         except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
             self.core.counters["server_errors"] += 1
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -326,6 +367,8 @@ class ArchiveServer:
             return json_response(
                 500, {"error": "engine failed", "error_id": exc.error_id}
             )
+        except ServerStopping:
+            return json_response(503, {"error": "server stopping"}, keep_alive=False)
         except HttpError as exc:
             return json_response(exc.status, {"error": exc.reason})
 
@@ -399,14 +442,18 @@ class ArchiveServer:
     # /events streaming
     # ------------------------------------------------------------------ #
 
-    async def _stream_events(self, writer: asyncio.StreamWriter) -> None:
+    async def _stream_events(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         """NDJSON-stream tracer events until the client goes away.
 
         Events are fanned out of the pacer's slices into a bounded asyncio
         queue; overflow drops them, counted in ``/status`` as
         ``counters.events_dropped``, rather than buffering without bound,
         and a client that stops draining its socket is cut off by the
-        slow-client timeout.
+        slow-client timeout. A client that hangs up is noticed at the
+        next one-second idle tick even when no event ever flows, and
+        :meth:`stop` wakes the stream with a ``None`` in its queue.
         """
         queue: asyncio.Queue = asyncio.Queue(maxsize=EVENTS_QUEUE_DEPTH)
         counters = self.core.counters
@@ -418,13 +465,18 @@ class ArchiveServer:
                 counters["events_dropped"] += 1
 
         self.core.subscribe(on_event)
+        self._event_queues.add(queue)
         try:
             await send_with_timeout(writer, stream_head(), self.slow_client_timeout)
             while not self._stopping:
                 try:
                     event = await asyncio.wait_for(queue.get(), timeout=1.0)
                 except asyncio.TimeoutError:
+                    if reader.at_eof():
+                        break
                     continue
+                if event is None:
+                    break
                 line = event.to_json() + "\n"
                 await send_with_timeout(
                     writer, line.encode("utf-8"), self.slow_client_timeout
@@ -434,6 +486,7 @@ class ArchiveServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         finally:
+            self._event_queues.discard(queue)
             self.core.unsubscribe(on_event)
 
 
@@ -461,15 +514,21 @@ def run_server(
 
     Returns a process exit code: 0 after a clean run, 1 when the pacer
     failed (the server keeps answering 500s until it is stopped).
-    SIGTERM/SIGINT (KeyboardInterrupt) are clean shutdowns — the doc
-    smoke-runner backgrounds a server and terminates it, and that must
-    count as success.
+    SIGTERM and SIGINT are clean shutdowns through
+    :meth:`ArchiveServer.stop` (handled on the event loop when this runs
+    on the main thread) — the doc smoke-runner and perfbench background a
+    server and terminate it, and that must count as success.
     """
     server = ArchiveServer(
         core, host=host, port=port, slow_client_timeout=slow_client_timeout
     )
 
     async def main() -> None:
+        stopped = asyncio.Event()
+        if threading.current_thread() is threading.main_thread():
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                loop.add_signal_handler(signum, stopped.set)
         await server.start()
         if ready is not None:
             ready(server)
@@ -484,10 +543,9 @@ def run_server(
             flush=True,
         )
         try:
-            if seconds > 0:
-                await asyncio.sleep(seconds)
-            else:
-                await asyncio.Event().wait()
+            await asyncio.wait_for(stopped.wait(), seconds if seconds > 0 else None)
+        except asyncio.TimeoutError:
+            pass
         finally:
             await server.stop()
 

@@ -144,6 +144,14 @@ class TenantRegistry:
                     f"tenant {tenant.name!r} references unknown class "
                     f"{tenant.slo_class!r}"
                 )
+        # Derived lookup, kept outside the dataclass fields so ``==``,
+        # ``repr`` and ``replace`` see only the fields.
+        classes = self.class_map()
+        object.__setattr__(
+            self,
+            "_class_by_tenant",
+            {t.name: classes[t.slo_class] for t in self.tenants},
+        )
 
     def class_map(self) -> Dict[str, SLOClass]:
         """Name -> :class:`SLOClass` for every registered class."""
@@ -159,10 +167,7 @@ class TenantRegistry:
 
     def class_of(self, tenant: str) -> SLOClass:
         """The tenant's SLO class (``default_class`` when unknown/untagged)."""
-        spec = self.spec_of(tenant)
-        if spec is None:
-            return self.default_class
-        return self.class_map().get(spec.slo_class, self.default_class)
+        return self._class_by_tenant.get(tenant, self.default_class)
 
     def deadline_for(self, tenant: str, arrival: float) -> float:
         """Absolute completion deadline of a request arriving at ``arrival``."""

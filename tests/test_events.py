@@ -174,3 +174,31 @@ class TestEngineCounters:
         stats = sim.scheduler_stats
         assert sim.events_processed == 4
         assert stats == {"pushes": 6, "pops": 4, "cancelled_skips": 2}
+
+
+class TestReservedSequence:
+    def test_reserved_event_fires_in_its_reserved_place(self):
+        """A reserved seq is counted once, when taken, and the event
+        pushed under it later still fires ahead of later-scheduled ties."""
+        sim = Simulation()
+        fired = []
+        seq = sim.reserve_seq()
+        sim.schedule(1.0, lambda: fired.append("scheduled"))
+        assert sim.scheduler_stats["pushes"] == 2
+        assert sim.pending == 1
+        sim.schedule_reserved(1.0, seq, lambda: fired.append("reserved"))
+        assert sim.scheduler_stats["pushes"] == 2
+        assert sim.pending == 2
+        sim.run()
+        assert fired == ["reserved", "scheduled"]
+        assert sim.scheduler_stats == {"pushes": 2, "pops": 2, "cancelled_skips": 0}
+
+    def test_schedule_reserved_rejects_a_past_time(self):
+        sim = Simulation()
+        seq = sim.reserve_seq()
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(4.0, seq, lambda: None)
+        sim.schedule_reserved(5.0, seq, lambda: None)
+        sim.run()
+        assert sim.events_processed == 1

@@ -213,15 +213,20 @@ class TestSimulationEngineProperties:
 #: One step of a randomized scheduler program. ``schedule`` delays are
 #: drawn from a small palette with repeats so equal timestamps (the
 #: tie-order case) arise constantly; the 1e5 outlier keeps far-future
-#: entries pending across many run horizons.
+#: entries pending across many run horizons. ``reserve`` takes a sequence
+#: number now for an event pushed later — by a ``push`` op, by a
+#: ``push-next`` callback, or at the latest just before a run could reach
+#: it; ``stream`` reserves a batch and feeds it to the engine one head at a
+#: time, each fired head pushing the next (the lifecycle's trace intake).
+_delays = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.0, 40.0, 1e5])
+_actions = st.sampled_from([None, "child", "cancel-next", "push-next"])
 _scheduler_ops = st.one_of(
-    st.tuples(
-        st.just("schedule"),
-        st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.0, 40.0, 1e5]),
-        st.sampled_from([None, "child", "cancel-next"]),
-    ),
+    st.tuples(st.just("schedule"), _delays, _actions),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=100)),
     st.tuples(st.just("run"), st.sampled_from([0.0, 1.0, 5.0, 250.0])),
+    st.tuples(st.just("reserve"), _delays, _actions),
+    st.tuples(st.just("push")),
+    st.tuples(st.just("stream"), st.lists(_delays, min_size=1, max_size=6)),
 )
 
 
@@ -275,6 +280,11 @@ class _ListEngine:
         self.pushes += 1
         return event
 
+    def reserve(self, time, callback, label=""):
+        """A reserved event is inserted at reservation time; the later
+        push is a no-op (see ``TestEngineOracle._execute``)."""
+        self.schedule(time - self.now, callback, label)
+
     def set_sampler(self, interval, callback):
         self._sampler = [self.now + interval, callback]
 
@@ -314,7 +324,10 @@ class _ListEngine:
 class TestEngineOracle:
     """The heap engine must replay any schedule/cancel/run interleaving
     exactly like the sorted-list oracle: same fire order, same clock, same
-    sampler ticks, same event count and counters."""
+    sampler ticks, same event count and counters. Reserved sequence
+    numbers are part of the interleaving: the oracle inserts a reserved
+    event when its number is taken, the heap engine only when it is
+    pushed, and every push comes before the clock can reach the event."""
 
     @staticmethod
     def _execute(program, sim):
@@ -322,14 +335,52 @@ class TestEngineOracle:
         log = []
         samples = []
         handles = []
+        #: reservations not pushed yet, oldest first: (time, push thunk).
+        outstanding = []
         sim.set_sampler(3.0, lambda ts: (samples.append(ts), 3.0)[1])
 
-        def make_callback(uid, action):
-            """A callback that logs, then optionally schedules or cancels."""
+        def reserve(delay, callback, label):
+            """Take a seq now; return the thunk that pushes the event."""
+            time = sim.now + delay
+            if isinstance(sim, _ListEngine):
+                sim.reserve(time, callback, label)
+                return lambda: None
+            seq = sim.reserve_seq()
+            return lambda: sim.schedule_reserved(time, seq, callback, label)
+
+        def push_due(horizon):
+            """Push every reservation a run up to ``horizon`` could reach."""
+            for entry in [e for e in outstanding if e[0] <= horizon]:
+                outstanding.remove(entry)
+                entry[1]()
+
+        def start_stream(uid, delays):
+            """Reserve in op order, feed in ``(time, seq)`` order: each
+            head's callback pushes the next head before it runs."""
+            order = sorted(range(len(delays)), key=lambda k: delays[k])
+            pushes = {}
+
+            def feed_after(k):
+                position = order.index(k) + 1
+                if position < len(order):
+                    pushes[order[position]]()
+
+            for k, delay in enumerate(delays):
+                callback = make_callback(f"{uid}.s{k}", None, then=lambda k=k: feed_after(k))
+                pushes[k] = reserve(delay, callback, f"{uid}.s{k}")
+            pushes[order[0]]()
+
+        def make_callback(uid, action, then=None):
+            """A callback that logs, then optionally schedules, cancels or
+            pushes; ``then`` pushes the next head of a stream."""
 
             def fire():
                 log.append((sim.now, uid))
-                if action == "child":
+                if then is not None:
+                    then()
+                if action == "push-next" and outstanding:
+                    outstanding.pop(0)[1]()
+                elif action == "child":
                     handles.append(
                         sim.schedule(
                             1.0, make_callback(uid + ".c", None), label="child"
@@ -355,9 +406,19 @@ class TestEngineOracle:
             elif op[0] == "cancel":
                 if handles:
                     handles[op[1] % len(handles)].cancel()
+            elif op[0] == "reserve":
+                push = reserve(op[1], make_callback(str(i), op[2]), f"op{i}")
+                outstanding.append((sim.now + op[1], push))
+            elif op[0] == "push":
+                if outstanding:
+                    outstanding.pop(0)[1]()
+            elif op[0] == "stream":
+                start_stream(str(i), op[1])
             else:  # run
+                push_due(sim.now + op[1])
                 sim.run(until=sim.now + op[1])
                 log.append(("run", sim.now, sim.events_processed, sim.scheduler_stats))
+        push_due(float("inf"))
         sim.run()
         return (
             log,

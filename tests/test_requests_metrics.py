@@ -1,5 +1,7 @@
 """Tests for simulation request state and metrics."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,18 @@ class TestSimRequest:
         parent = SimRequest(1, arrival=0.0, platter_id="P", size_bytes=100)
         with pytest.raises(ValueError):
             parent.fan_out(["A", "B"], [2])
+
+    def test_slotted_request_keeps_dataclass_behaviour(self):
+        request = SimRequest(request_id=7, arrival=1.5, platter_id="P", size_bytes=10)
+        assert request.children == () and request.num_tracks == 1
+        assert request.measured and request.completion is None
+        assert request == SimRequest(7, 1.5, "P", 10)
+        assert request != SimRequest(8, 1.5, "P", 10)
+        assert repr(request).startswith("SimRequest(request_id=7, arrival=1.5,")
+        if sys.version_info >= (3, 10):
+            assert not hasattr(request, "__dict__")
+            with pytest.raises(AttributeError):
+                request.undeclared = 1
 
 
 class TestCompletionStats:

@@ -622,6 +622,81 @@ def test_status_counts_events_a_full_subscriber_queue_dropped():
     assert after["trace"]["captured_events"] > burst
 
 
+def test_closed_events_client_is_unsubscribed_on_an_idle_server():
+    # No sampler and no traffic: no event ever flows to the stream, so
+    # only watching the client side of the connection can notice it left.
+    core = small_core(dilation=2000.0, tenants=0)
+
+    async def scenario(server):
+        client = ClientConnection("127.0.0.1", server.port, timeout=10.0)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n")
+        await writer.drain()
+        await reader.readuntil(b"\r\n\r\n")
+        _, _, body = await client.request("GET", "/status")
+        connected = json.loads(body)["subscribers"]
+        writer.close()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 3.0
+        while True:
+            _, _, body = await client.request("GET", "/status")
+            after = json.loads(body)["subscribers"]
+            if after == 0 or loop.time() > deadline:
+                break
+            await asyncio.sleep(0.1)
+        await client.close()
+        return connected, after
+
+    connected, after = serve_live(core, scenario)
+    assert connected == 1
+    assert after == 0
+
+
+def test_stop_ends_open_connections_without_cancelling_handlers(caplog):
+    # At dilation 1 a read takes minutes of wall time, so the GET below is
+    # still waiting on the twin when the server stops.
+    core = small_core(dilation=1.0, tenants=0)
+    handlers = []
+
+    async def main():
+        server = ArchiveServer(core, port=0)
+        handle = server._handle_connection
+
+        async def tracked(reader, writer):
+            handlers.append(asyncio.current_task())
+            await handle(reader, writer)
+
+        server._handle_connection = tracked
+        await server.start()
+        keep_alive = ClientConnection("127.0.0.1", server.port, timeout=10.0)
+        await put_one(keep_alive)
+        get_reader, get_writer = await asyncio.open_connection("127.0.0.1", server.port)
+        get_writer.write(b"GET /archive/obj-1 HTTP/1.1\r\nHost: test\r\n\r\n")
+        await get_writer.drain()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n")
+        await writer.drain()
+        await reader.readuntil(b"\r\n\r\n")
+        while core.counters["reads_submitted"] == 0:
+            await asyncio.sleep(0.005)
+        await asyncio.wait_for(server.stop(), 10.0)
+        ended = [(task.done(), task.cancelled()) for task in handlers]
+        tail = await asyncio.wait_for(reader.read(), 5.0)
+        await asyncio.wait_for(get_reader.read(), 5.0)
+        for w in (writer, get_writer):
+            w.close()
+        await keep_alive.close()
+        return ended, tail
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        ended, tail = asyncio.run(main())
+    assert ended == [(True, False)] * 3
+    assert tail == b""  # the follower saw the server close its stream
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+    assert core.counters["server_errors"] == 0
+    assert core.counters["reads_completed"] == 0
+
+
 def boom() -> None:
     raise RuntimeError("injected sim failure")
 

@@ -1,5 +1,8 @@
 """Tests for the multi-tenant QoS subsystem (repro.tenancy)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.core.metrics import jain_index, QoSMetrics
@@ -55,6 +58,27 @@ class TestModel:
         assert registry.class_of("a") is BULK
         assert registry.class_of("stranger") is STANDARD
         assert registry.class_of("") is STANDARD
+
+    def test_class_of_lookup_matches_the_tenant_scan(self):
+        registry = skewed_mix(6)
+
+        def scan(tenant):
+            for spec in registry.tenants:
+                if spec.name == tenant:
+                    return registry.class_map().get(spec.slo_class, registry.default_class)
+            return registry.default_class
+
+        for tenant in [t.name for t in registry.tenants] + ["stranger", ""]:
+            assert registry.class_of(tenant) == scan(tenant)
+        assert {registry.class_of(t.name).name for t in registry.tenants} == {
+            "bulk", "expedited", "standard"
+        }
+        # The lookup is derived state: fields, equality and pickling hold.
+        assert replace(registry) == registry
+        assert "_class_by_tenant" not in repr(registry)
+        clone = pickle.loads(pickle.dumps(registry))
+        assert clone == registry
+        assert clone.class_of(registry.tenants[1].name) == scan(registry.tenants[1].name)
 
     def test_deadline_for_is_arrival_plus_target(self):
         registry = TenantRegistry(
