@@ -550,17 +550,14 @@ def build_serve_soak(seed: int):
     exceeds the largest soak object, and the refill rate is low enough
     that the hot tenant still trips admission under burst arrivals.
     """
-    from ..serve import ArchiveServerCore, ServeConfig, SoakSpec
+    from ..serve import ArchiveServerCore, ServeConfig, SoakSpec, serve_registry
 
     config = ServeConfig(
         dilation=0.0,
-        seed=seed,
-        tenants=3,
-        quota_mbps=3.0,
-        quota_burst_mb=1024.0,
         sample_interval_seconds=0.0,
         sim=SimConfig(
-            num_drives=4, num_shuttles=4, num_platters=200, seed=seed
+            num_drives=4, num_shuttles=4, num_platters=200, seed=seed,
+            tenancy=serve_registry(3, seed, quota_mbps=3.0, quota_burst_mb=1024.0),
         ),
     )
     return ArchiveServerCore(config), SoakSpec(seed=seed)

@@ -42,8 +42,10 @@ Commands
     (see :mod:`repro.serve`): sim time advances at ``--dilation``
     sim-seconds per wall-second, ``PUT /archive`` / ``GET /archive/{id}``
     enter the kernel through the engine's injection queue, ``--tenants``
-    turns on per-tenant token-bucket admission (429 + ``Retry-After``),
-    and ``GET /events`` streams tracer events as NDJSON.
+    turns on the kernel's per-tenant token-bucket admission (429 +
+    ``Retry-After``) and tags each served read with its tenant's SLO
+    class and deadline, and ``GET /events`` streams tracer events as
+    NDJSON.
 ``loadgen``
     Drive a live server with a seeded open- or closed-loop client fleet
     and write a schema-versioned per-request latency log; exits non-zero
@@ -586,7 +588,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .core import SimConfig
-    from .serve import ArchiveServerCore, ServeConfig, run_server
+    from .serve import ArchiveServerCore, ServeConfig, run_server, serve_registry
 
     if args.dilation <= 0:
         print("error: serve requires --dilation > 0 (sim-seconds per "
@@ -594,10 +596,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     config = ServeConfig(
         dilation=args.dilation,
-        seed=args.seed,
-        tenants=args.tenants,
-        quota_mbps=args.quota_mbps,
-        quota_burst_mb=args.quota_burst_mb,
         max_pending_ingress=args.max_pending,
         sample_interval_seconds=args.sample_interval,
         sim=SimConfig(
@@ -605,6 +603,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_shuttles=args.shuttles,
             num_platters=args.platters,
             seed=args.seed,
+            tenancy=serve_registry(
+                args.tenants, args.seed, args.quota_mbps, args.quota_burst_mb
+            ),
         ),
     )
     core = ArchiveServerCore(config)

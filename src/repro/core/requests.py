@@ -10,7 +10,7 @@ network coding recovery) and completes when the last sub-read finishes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..workload.traces import ReadRequest
@@ -38,7 +38,9 @@ class SimRequest:
     track_start: int = 0  # first track of the file on its platter
     measured: bool = True  # inside the measured interval (§7.2)?
     completion: Optional[float] = None
-    parent: Optional["SimRequest"] = None
+    # Left out of ``==``: comparing ``children`` already covers the tree,
+    # and comparing the back-link too would recurse parent -> children.
+    parent: Optional["SimRequest"] = field(default=None, compare=False)
     pending_subreads: int = 0
     children: Sequence["SimRequest"] = ()
     # Transient-fault lifecycle bookkeeping (chaos harness):

@@ -2,9 +2,9 @@
 
 ``repro.serve`` turns the batch simulator into a service you can point
 traffic at: a :class:`~repro.serve.core.ArchiveServerCore` (catalog +
-admission + kernel, with tickets resolved at the kernel's completion
-seam and the trace fanned out to ``/events`` subscribers;
-transport-free), an
+kernel, which admits each read itself, with tickets resolved at the
+kernel's completion seam and the trace fanned out to ``/events``
+subscribers; transport-free), an
 :class:`~repro.serve.server.ArchiveServer` HTTP/1.1 frontend over
 ``asyncio.start_server``, a seeded load generator
 (:mod:`repro.serve.loadgen`, ``python -m repro loadgen``), and a

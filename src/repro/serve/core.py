@@ -1,9 +1,10 @@
 """Transport-free archive-server core over the paced twin.
 
 :class:`ArchiveServerCore` is everything the live server does *except*
-sockets: an object catalog, per-tenant token-bucket admission with
-``Retry-After`` derivation, read submission into a :class:`~repro.core.
-sim.kernel.SimKernel`, completion tickets resolved by the kernel's
+sockets: an object catalog, read submission into a :class:`~repro.core.
+sim.kernel.SimKernel` (whose own tenancy admits each read and tags it
+with its SLO class and deadline), ``Retry-After`` derivation for the
+reads it refuses, completion tickets resolved by the kernel's
 completion seam (:attr:`~repro.core.sim.lifecycle.RequestLifecycle.
 on_complete`), a trace feed that hands every event to the ``GET /events``
 subscribers and keeps none, and a status snapshot. Keeping it
@@ -34,7 +35,6 @@ from ..core.events import PacedEngine
 from ..core.requests import SimRequest
 from ..core.sim import SimConfig, SimKernel
 from ..observability.tracer import TraceEvent, Tracer
-from ..tenancy.admission import AdmissionController
 from ..tenancy.model import QuotaSpec, TenantRegistry, TenantSpec, skewed_mix
 from ..workload.traces import ReadRequest
 
@@ -75,18 +75,16 @@ class ServeConfig:
     """Configuration of one live archive server.
 
     ``dilation`` is sim-seconds per wall-second (0 = free-run, virtual
-    time only); ``tenants`` > 0 builds a quota-bearing registry via
-    :func:`serve_registry`; ``sample_interval_seconds`` > 0 emits
-    ``monitor.sample`` trace events (the live feed ``watch --follow``
-    renders); ``max_pending_ingress`` bounds the injection queue (the
-    503 backpressure threshold).
+    time only); ``sample_interval_seconds`` > 0 emits ``monitor.sample``
+    trace events (the live feed ``watch --follow`` renders);
+    ``max_pending_ingress`` bounds the injection queue (the 503
+    backpressure threshold). ``sim`` describes the whole served twin,
+    its tenants included: a quota-bearing registry (for instance from
+    :func:`serve_registry`) as ``sim.tenancy`` turns on admission, SLO
+    classes and deadlines, and ``sim.fetch_policy`` picks the fetch order.
     """
 
     dilation: float = 600.0
-    seed: int = 0
-    tenants: int = 0
-    quota_mbps: float = 4.0
-    quota_burst_mb: float = 256.0
     max_pending_ingress: int = 256
     sample_interval_seconds: float = 300.0
     sim: SimConfig = field(default_factory=SimConfig)
@@ -111,23 +109,20 @@ class ReadRejected:
 class ReadTicket:
     """One in-flight read: resolved when the kernel completes it."""
 
-    def __init__(self, request: SimRequest, submitted_ts: float) -> None:
+    def __init__(self, request: SimRequest) -> None:
         self.request = request
-        self.submitted_ts = submitted_ts
-        self.completed_ts: Optional[float] = None
         self._callbacks: List[Callable[["ReadTicket"], None]] = []
 
     @property
     def done(self) -> bool:
         """True once the kernel completed the read."""
-        return self.completed_ts is not None
+        return self.request.completion is not None
 
     @property
     def latency_sim_seconds(self) -> float:
-        """Submit-to-complete sim latency (0.0 while in flight)."""
-        if self.completed_ts is None:
-            return 0.0
-        return self.completed_ts - self.submitted_ts
+        """Submit-to-complete sim latency (0.0 while in flight): a served
+        read arrives at its submit time."""
+        return self.request.completion_time if self.done else 0.0
 
     def on_complete(self, callback: Callable[["ReadTicket"], None]) -> None:
         """Run ``callback(ticket)`` at completion (immediately if done).
@@ -135,13 +130,12 @@ class ReadTicket:
         Single-threaded, like every core entry point — which is what
         makes the registered-then-completed race impossible.
         """
-        if self.completed_ts is not None:
+        if self.done:
             callback(self)
         else:
             self._callbacks.append(callback)
 
-    def _resolve(self, ts: float) -> None:
-        self.completed_ts = ts
+    def _resolve(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(self)
@@ -167,31 +161,23 @@ class _EventFeed:
 
 
 class ArchiveServerCore:
-    """The archive service's brain: catalog, admission, kernel, feed."""
+    """The archive service's brain: catalog, kernel, 429s, feed."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         cfg = self.config
         self._feed = _EventFeed()
         self.tracer = Tracer(self._feed)
-        # The kernel runs tenancy-free: admission lives *here*, at the
-        # frontend, so a rejected request never reaches the kernel and
-        # an admitted one is never charged twice.
-        sim_cfg = cfg.sim
-        if sim_cfg.tenancy is not None:
-            sim_cfg = replace(sim_cfg, tenancy=None)
-        self.kernel = SimKernel(sim_cfg, tracer=self.tracer)
+        self.kernel = SimKernel(cfg.sim, tracer=self.tracer)
         self.kernel.lifecycle.on_complete = self._on_read_complete
         self.sim = self.kernel.ctx.sim
         self.engine = PacedEngine(
             self.sim, dilation=cfg.dilation, max_pending=cfg.max_pending_ingress
         )
-        self.registry = serve_registry(
-            cfg.tenants, cfg.seed, cfg.quota_mbps, cfg.quota_burst_mb
-        )
-        self.admission: Optional[AdmissionController] = (
-            AdmissionController(self.registry) if self.registry else None
-        )
+        #: The served twin's tenant mix and its admission controller, the
+        #: kernel's own (None when ``sim.tenancy`` is unset).
+        self.registry: Optional[TenantRegistry] = cfg.sim.tenancy
+        self.admission = self.kernel.lifecycle.admission
         #: object_id -> (size_bytes, platter_id)
         self.catalog: Dict[str, Tuple[int, str]] = {}
         self._inflight: Dict[int, ReadTicket] = {}
@@ -225,17 +211,16 @@ class ArchiveServerCore:
         ticket = self._inflight.pop(request.request_id, None)
         if ticket is None:
             return
-        ts = self.sim.now
         self.counters["reads_completed"] += 1
         self.tracer.emit(
-            ts,
+            request.completion,
             "serve.complete",
             request_id=request.request_id,
             tenant=request.tenant,
-            latency_s=ts - ticket.submitted_ts,
+            latency_s=request.completion_time,
             degraded=request.degraded,
         )
-        ticket._resolve(ts)
+        ticket._resolve()
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Register an ``/events`` consumer, called with every trace event."""
@@ -277,12 +262,11 @@ class ArchiveServerCore:
     def _reject(
         self, object_id: str, tenant: str, size_bytes: int, now: float
     ) -> ReadRejected:
-        """Build the 429 refusal, trace it, and derive ``Retry-After``."""
+        """Build the 429 for a read the kernel's admission refused, trace
+        it, and derive ``Retry-After`` from the refusing controller."""
         self.counters["rejected_quota"] += 1
-        retry_sim = None
         retry_wall = None
-        if self.admission is not None:
-            retry_sim = self.admission.retry_after(tenant, size_bytes, now)
+        retry_sim = self.admission.retry_after(tenant, size_bytes, now)
         if retry_sim is not None:
             dilation = self.config.dilation
             wall = retry_sim / dilation if dilation > 0 else retry_sim
@@ -307,13 +291,13 @@ class ArchiveServerCore:
         )
 
     def begin_read(self, object_id: str, tenant: str = ""):
-        """Admit and submit one read; a :class:`ReadTicket` or refusal.
+        """Submit one read to the kernel; a :class:`ReadTicket` or refusal.
 
         Returns :class:`ReadTicket` on admission, :class:`ReadRejected`
         with status 404 (unknown object) or 429 (quota) otherwise. The
-        ``admission.reject`` trace the controller path emits is the
-        exact mirror of every 429 the frontend returns — the parity the
-        admission tests pin.
+        kernel's admission traces ``admission.reject`` for every read it
+        refuses, so each 429 mirrors exactly one such event, followed by
+        its ``serve.reject`` — the parity the admission tests pin.
         """
         now = self.sim.now
         entry = self.catalog.get(object_id)
@@ -323,24 +307,13 @@ class ArchiveServerCore:
                 status=404, reason="unknown object", tenant=tenant, object_id=object_id
             )
         size_bytes, platter = entry
-        if self.admission is not None and not self.admission.admit(
-            tenant, size_bytes, now
-        ):
-            self.tracer.emit(
-                now, "admission.reject", tenant=tenant, size_bytes=size_bytes
-            )
-            return self._reject(object_id, tenant, size_bytes, now)
-        if self.admission is not None:
-            self.tracer.emit(
-                now, "admission.accept", tenant=tenant, size_bytes=size_bytes
-            )
         request = ReadRequest(
             time=now, file_id=object_id, size_bytes=size_bytes, tenant=tenant
         )
-        # The kernel runs tenancy-free, so submit() admits every read and
-        # returns its top-level request (the parent of a sharded read).
         top = self.kernel.lifecycle.submit(request, platter, measured=True)
-        ticket = ReadTicket(top, now)
+        if top is None:
+            return self._reject(object_id, tenant, size_bytes, now)
+        ticket = ReadTicket(top)
         self._inflight[top.request_id] = ticket
         self.counters["reads_submitted"] += 1
         self.tracer.emit(

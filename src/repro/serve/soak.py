@@ -60,9 +60,9 @@ def run_soak(core: ArchiveServerCore, spec: SoakSpec) -> Dict[str, float]:
 
     Every value is a deterministic function of ``(core.config, spec)``:
     counters, simulated latency percentiles, and two 1.0/0.0 gates (all
-    clients finished; tracer rejects equal controller rejects). Drives
-    the sim clock itself, in virtual time, so it calls the core directly
-    instead of injecting.
+    clients finished; tracer rejects equal the kernel controller's
+    rejects and the core's 429s). Drives the sim clock itself, in
+    virtual time, so it calls the core directly instead of injecting.
     """
     sim = core.sim
     tenants = [t.name for t in core.registry.tenants] if core.registry else [""]

@@ -128,10 +128,6 @@ class AdmissionController:
             self.stats[tenant] = stats
         return stats
 
-    def bucket_for(self, tenant: str) -> Optional[TokenBucket]:
-        """The tenant's bucket, or ``None`` when it has no quota."""
-        return self._buckets.get(tenant)
-
     def retry_after(self, tenant: str, size_bytes: int, now: float) -> Optional[float]:
         """Seconds until a just-rejected read could pass, or None.
 

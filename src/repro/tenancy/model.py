@@ -159,12 +159,6 @@ class TenantRegistry:
         mapping.setdefault(self.default_class.name, self.default_class)
         return mapping
 
-    def spec_of(self, tenant: str) -> Optional[TenantSpec]:
-        for spec in self.tenants:
-            if spec.name == tenant:
-                return spec
-        return None
-
     def class_of(self, tenant: str) -> SLOClass:
         """The tenant's SLO class (``default_class`` when unknown/untagged)."""
         return self._class_by_tenant.get(tenant, self.default_class)

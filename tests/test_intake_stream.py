@@ -233,7 +233,6 @@ def _served(reads):
     core = ArchiveServerCore(
         ServeConfig(
             dilation=0.0,
-            seed=5,
             sample_interval_seconds=0.0,
             sim=SimConfig(num_drives=4, num_shuttles=4, num_platters=120, seed=5),
         )

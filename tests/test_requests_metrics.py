@@ -70,6 +70,16 @@ class TestSimRequest:
             with pytest.raises(AttributeError):
                 request.undeclared = 1
 
+    def test_equality_of_requests_with_sub_reads_terminates(self):
+        first = SimRequest(1, 0.0, "P", 10)
+        second = SimRequest(1, 0.0, "P", 10)
+        first.fan_out(["A"], [2])
+        second.fan_out(["A"], [2])
+        assert first == second
+        other = SimRequest(1, 0.0, "P", 10)
+        other.fan_out(["B"], [2])
+        assert first != other
+
 
 class TestCompletionStats:
     def test_empty(self):

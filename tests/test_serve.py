@@ -15,6 +15,7 @@ from repro.serve import (
     SoakSpec,
     run_server,
     run_soak,
+    serve_registry,
 )
 from repro.serve.core import ReadRejected, ReadTicket
 from repro.serve.http import (
@@ -38,6 +39,8 @@ from repro.serve.loadgen import (
     percentile,
 )
 from repro.serve.server import EVENTS_QUEUE_DEPTH
+from repro.tenancy.model import SLOClass, TenantRegistry, TenantSpec
+from repro.tenancy.qos import DeadlineAwareFetchPolicy
 
 
 def parse(raw: bytes):
@@ -236,20 +239,25 @@ def test_split_path_drops_query_and_empty_segments():
 # --------------------------------------------------------------------- #
 
 
-def small_core(**overrides) -> ArchiveServerCore:
+def small_core(
+    dilation: float = 0.0, tenants: int = 2, registry=None, **sim_overrides
+) -> ArchiveServerCore:
+    """A 4-drive served twin; ``registry`` replaces the default tenant mix."""
     # 4 drives is plenty for these tests; tinier fleets also work now
     # that partition geometry only routes to live drives.
-    defaults = dict(
-        dilation=0.0,
+    if registry is None:
+        registry = serve_registry(tenants, 5, quota_mbps=1.0, quota_burst_mb=64.0)
+    sim = SimConfig(
+        num_drives=4,
+        num_shuttles=4,
+        num_platters=120,
         seed=5,
-        tenants=2,
-        quota_mbps=1.0,
-        quota_burst_mb=64.0,
-        sample_interval_seconds=0.0,
-        sim=SimConfig(num_drives=4, num_shuttles=4, num_platters=120, seed=5),
+        tenancy=registry,
+        **sim_overrides,
     )
-    defaults.update(overrides)
-    return ArchiveServerCore(ServeConfig(**defaults))
+    return ArchiveServerCore(
+        ServeConfig(dilation=dilation, sample_interval_seconds=0.0, sim=sim)
+    )
 
 
 def test_put_and_read_complete_in_virtual_time():
@@ -368,8 +376,53 @@ def test_admission_reject_traces_mirror_http_429s_exactly():
     assert rejects > 0
     traced = sum(1 for event in events if event.kind == "admission.reject")
     assert traced == rejects
+    # Each 429 is one kernel admission.reject, then its serve.reject.
+    verdicts = [
+        event.kind for event in events if event.kind.endswith(".reject")
+    ]
+    assert verdicts == ["admission.reject", "serve.reject"] * rejects
     assert core.counters["rejected_quota"] == rejects
+    # One controller: the core's is the kernel's, whose books agree.
+    assert core.admission is core.kernel.lifecycle.admission
     assert core.admission.total_rejected() == rejects
+    assert core.kernel.ctx.metrics.value("admission_rejections_total") == rejects
+
+
+def test_served_reads_carry_their_class_and_deadline():
+    core = small_core(tenants=3, fetch_policy="deadline")
+    registry = core.registry
+    assert isinstance(core.kernel.ctx.scheduler.policy, DeadlineAwareFetchPolicy)
+    core.sim.run(until=100.0)
+    now = core.sim.now
+    for tenant in registry.tenants:
+        core.put_object(f"obj-{tenant.name}", 8_000_000, tenant.name)
+        ticket = core.begin_read(f"obj-{tenant.name}", tenant.name)
+        slo = registry.class_of(tenant.name)
+        assert ticket.request.slo_class == slo.name
+        assert ticket.request.deadline == now + slo.deadline_seconds
+    assert {registry.class_of(t.name).name for t in registry.tenants} == {
+        "bulk", "expedited", "standard"
+    }
+
+
+def test_late_served_read_is_deadline_pressured_then_missed():
+    urgent = SLOClass("urgent", deadline_seconds=1.0)
+    core = small_core(
+        registry=TenantRegistry(
+            tenants=(TenantSpec("t-urgent", slo_class="urgent"),),
+            classes=(urgent,),
+        ),
+        fetch_policy="deadline",
+    )
+    core.put_object("obj-a", 8_000_000, "t-urgent")
+    ticket = core.begin_read("obj-a", "t-urgent")
+    core.sim.run(until=2.0)
+    assert not ticket.done
+    assert core.status()["gauges"]["deadline_pressured"] == 1.0
+    core.sim.run()
+    assert ticket.done
+    assert core.status()["gauges"]["deadline_pressured"] == 0.0
+    assert core.kernel.report().qos.deadline_misses == 1
 
 
 def test_status_snapshot_is_json_serializable_and_consistent():
